@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import DirichletPoly, factor_integer, UnfactoredResidueError
+from .core import DirichletPoly, UnfactoredResidueError, exponents, factor_integer
 from .degrees import multiplicity_report, quick_irreducibility
 from .multivariate import MultiDirichletPoly
 from .polygon import dumas_test, slope_exclusions, multi_prime_test
@@ -29,13 +29,6 @@ class Analysis:
     input_text: str
     verdict: str
     reports: list[CriterionReport] = field(default_factory=list)
-
-    def exit_code(self) -> int:
-        if self.verdict in report.DEFINITIVE:
-            return 0
-        if self.verdict == report.UNDECIDABLE:
-            return 3
-        return 2
 
 
 def coefficient_primes(f: DirichletPoly, cap: int = 10**6, max_primes: int = 10) -> list[int]:
@@ -71,9 +64,12 @@ def analyze_univariate(
     if f.is_zero() or f.is_constant():
         rep = inconclusive("input", "constant polynomial: nothing to decide")
         return Analysis(text, rep.verdict, [rep])
+    if len(f.support()) == 1:
+        # c/i^s: the oracle decides it outright (irreducible iff i is prime)
+        rep = _oracle_report(f)
+        return Analysis(text, rep.verdict, [rep])
 
     work = f
-    shift_note = None
     if not f.is_algebraically_primitive():
         _, _, d, work = f.normalize()
         shift_note = CriterionReport(
@@ -82,11 +78,9 @@ def analyze_univariate(
             "on the algebraically primitive part",
             certificate={"shift": d, "primitive_part": work.text()},
         )
-        if not run_all and not work.is_constant():
+        if not run_all:
             return Analysis(text, report.REDUCIBLE, [shift_note])
         reports.append(shift_note)
-        if work.is_constant():
-            return Analysis(text, report.REDUCIBLE, reports)
 
     if push(quick_irreducibility(work)):
         return Analysis(text, reports[-1].verdict, reports)
@@ -94,7 +88,7 @@ def analyze_univariate(
     if work.ring.kind in ("Z", "Q"):
         zwork = work.z_primitive_part() if work.ring.kind == "Q" else work
         primes = coefficient_primes(zwork)
-        index_primes = [p for p, _ in factor_integer(zwork.deg_min * zwork.degree)]
+        index_primes = list(exponents(zwork.deg_min * zwork.degree))
         twist_primes = sorted(set(primes) | set(index_primes))
         for p, t in [(p, 0) for p in primes] + [(p, 1) for p in twist_primes]:
             rep = dumas_test(zwork, p, shift_t=t)
@@ -139,30 +133,31 @@ def analyze_univariate(
             if push(k_power_free_charp(work, 2)):
                 return Analysis(text, reports[-1].verdict, reports)
 
-    if use_oracle:
-        from .oracle import brute_force_factor, FACTORED, IRREDUCIBLE_CERTIFIED
-
-        res = brute_force_factor(work)
-        if res.status == FACTORED:
-            g, h = res.factors
-            rep = CriterionReport(
-                report.REDUCIBLE, "oracle",
-                f"factorization found: ({g.text()}) * ({h.text()})",
-                certificate={"g": g.text(), "h": h.text()},
-            )
-        elif res.status == IRREDUCIBLE_CERTIFIED:
-            rep = CriterionReport(
-                report.IRREDUCIBLE, "oracle",
-                "exhaustive search certifies irreducibility",
-                certificate={"bound": res.bound, "nodes": res.nodes},
-            )
-        else:
-            rep = inconclusive("oracle", f"search exhausted budget (bound {res.bound})")
-        if push(rep):
-            return Analysis(text, rep.verdict, reports)
+    if use_oracle and push(_oracle_report(work)):
+        return Analysis(text, reports[-1].verdict, reports)
 
     verdict = _aggregate(reports)
     return Analysis(text, verdict, reports)
+
+
+def _oracle_report(f: DirichletPoly) -> CriterionReport:
+    from .oracle import brute_force_factor, FACTORED, IRREDUCIBLE_CERTIFIED
+
+    res = brute_force_factor(f)
+    if res.status == FACTORED:
+        g, h = res.factors
+        return CriterionReport(
+            report.REDUCIBLE, "oracle",
+            f"factorization found: ({g.text()}) * ({h.text()})",
+            certificate={"g": g.text(), "h": h.text()},
+        )
+    if res.status == IRREDUCIBLE_CERTIFIED:
+        return CriterionReport(
+            report.IRREDUCIBLE, "oracle",
+            "exhaustive search certifies irreducibility",
+            certificate={"bound": res.bound, "nodes": res.nodes},
+        )
+    return inconclusive("oracle", f"search exhausted budget (bound {res.bound})")
 
 
 def analyze_multivariate(

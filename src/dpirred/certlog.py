@@ -6,12 +6,13 @@ the atanh series with an explicit tail bound.  Signs of log expressions are
 decided by evaluating at escalating precision; equalities are never decided
 numerically.
 
-For bilinear forms  sum c * ln(a) * ln(b)  the canonical form rewrites every
-argument as a power of its primitive root (the maximal root that is not a
-perfect power).  Two products of logs are treated as equal exactly when
-their canonical monomials coincide; a canonically empty form is Zero.  A
-nonempty form gets its sign certified by intervals, or Undecidable at the
-precision cap, never a wrong sign.
+Log expressions live in one prime-basis form, LogProduct: a polynomial over
+Q in the symbols L_p = ln p, one per prime, into which ln(a) expands as
+sum v_p(a) L_p.  Products of logs (the hull and chord comparisons) and the
+log^k entries of the derivative matrices in ranktests are both built in it.
+A form whose expansion cancels is Zero, which is an identity and so exact;
+any other form gets its sign certified by intervals on ln p for its primes,
+or Undecidable at the precision cap, never a wrong sign.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 
-from .core import factor_integer, gcd_list
+from .core import exponents
 
 NEGATIVE = "negative"
 ZERO = "zero"
@@ -122,10 +123,12 @@ def _atanh_bounds(z: Fraction, prec: int) -> IV:
 
 
 _LN_CACHE: dict[tuple[int, int], IV] = {}
+_LN2_CACHE: dict[int, IV] = {}
 
 
 def ln_int_bounds(n: int, prec: int) -> IV:
-    """ln(n) for a positive integer, enclosed within ~2^-prec."""
+    """ln(n) for a positive integer, enclosed within ~2^-prec.  The result
+    depends on (n, prec) alone, not on which values were cached before."""
     if n < 1:
         raise ValueError("ln of nonpositive")
     if n == 1:
@@ -135,10 +138,10 @@ def ln_int_bounds(n: int, prec: int) -> IV:
         return _LN_CACHE[key]
     e = n.bit_length() - 1  # 2^e <= n < 2^(e+1)
     m = Fraction(n, 1 << e)  # in [1, 2)
-    ln2 = _LN_CACHE.get((2, prec))
+    ln2_prec = prec + e.bit_length() + 2
+    ln2 = _LN2_CACHE.get(ln2_prec)
     if ln2 is None:
-        ln2 = 2 * _atanh_bounds(Fraction(1, 3), prec + e.bit_length() + 2)
-        _LN_CACHE[(2, prec)] = ln2
+        ln2 = _LN2_CACHE[ln2_prec] = 2 * _atanh_bounds(Fraction(1, 3), ln2_prec)
     z = (m - 1) / (m + 1)  # in [0, 1/3)
     out = (e * ln2 + 2 * _atanh_bounds(z, prec + 2)).rounded(prec)
     if len(_LN_CACHE) < 4096:
@@ -162,27 +165,10 @@ def exponent_vector(q: Fraction) -> dict[int, int]:
     q = Fraction(q)
     if q <= 0:
         raise ValueError("needs a positive rational")
-    v: dict[int, int] = {}
-    for p, e in factor_integer(q.numerator):
-        v[p] = v.get(p, 0) + e
-    for p, e in factor_integer(q.denominator):
+    v = dict(exponents(q.numerator))
+    for p, e in exponents(q.denominator).items():
         v[p] = v.get(p, 0) - e
     return {p: e for p, e in v.items() if e}
-
-
-def primitive_root(q: Fraction) -> tuple[Fraction, int]:
-    """Write q > 1 as g^k with g > 1 not a perfect power; returns (g, k)."""
-    vec = exponent_vector(q)
-    if not vec:
-        raise ValueError("q must differ from 1")
-    k = gcd_list(vec.values())
-    g = Fraction(1)
-    for p, e in vec.items():
-        g *= Fraction(p) ** (e // k)
-    if g < 1:
-        # exponent gcd is about magnitudes; flip to the reciprocal root
-        g, k = 1 / g, -k
-    return g, k
 
 
 def multiplicative_dependence_ratio(a: Fraction, b: Fraction) -> Fraction | None:
@@ -203,53 +189,102 @@ def multiplicative_dependence_ratio(a: Fraction, b: Fraction) -> Fraction | None
 
 
 # ---------------------------------------------------------------------------
-# formal signed sums of products of logarithms
+# the prime-basis log form
 
 
 class LogProduct:
-    """Canonical bilinear form  sum c_(g,h) * ln(g) * ln(h)  with g <= h
-    primitive (not perfect powers) and > 1.  Built by accumulating terms
-    ln(a)*ln(b) with rational a, b > 0."""
+    """Polynomial over Q in the symbols L_p (one per prime), kept as a
+    canonical sorted map from monomials (sorted tuples of primes) to
+    nonzero Fraction coefficients.  ln(a) for a rational a > 0 is
+    sum v_p(a) L_p, so every product of logs of rationals has one expansion
+    and every multiplicative identity among them cancels exactly."""
 
-    def __init__(self):
-        self._coeffs: dict[tuple[Fraction, Fraction], Fraction] = {}
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=None):
+        t = {}
+        if terms:
+            for mono, c in (terms.items() if isinstance(terms, dict) else terms):
+                mono = tuple(sorted(mono))
+                c = Fraction(c)
+                if c:
+                    t[mono] = t.get(mono, Fraction(0)) + c
+        self.terms = {m: c for m, c in sorted(t.items()) if c}
+
+    @classmethod
+    def constant(cls, c):
+        return cls({(): Fraction(c)})
+
+    @classmethod
+    def log_of(cls, q):
+        """ln q for a positive rational q, expanded as sum v_p(q) L_p."""
+        return cls({(p,): e for p, e in exponent_vector(q).items()})
 
     def add_product(self, a, b, coeff=1) -> "LogProduct":
+        """Add coeff * ln(a) * ln(b) in place (a, b positive rationals)."""
         a, b, coeff = Fraction(a), Fraction(b), Fraction(coeff)
         if a <= 0 or b <= 0:
             raise ValueError("log arguments must be positive")
-        if a == 1 or b == 1 or coeff == 0:
-            return self
-        ga, ka = primitive_root(a)
-        gb, kb = primitive_root(b)
-        c = coeff * ka * kb
-        key = (ga, gb) if ga <= gb else (gb, ga)
-        newc = self._coeffs.get(key, Fraction(0)) + c
-        if newc == 0:
-            self._coeffs.pop(key, None)
-        else:
-            self._coeffs[key] = newc
+        t = dict(self.terms)
+        for p, e in exponent_vector(a).items():
+            for q, f in exponent_vector(b).items():
+                m = (p, q) if p <= q else (q, p)
+                t[m] = t.get(m, Fraction(0)) + coeff * e * f
+        self.terms = {m: c for m, c in sorted(t.items()) if c}
         return self
 
-    def is_canonically_zero(self) -> bool:
-        return not self._coeffs
+    def __bool__(self):
+        return bool(self.terms)
 
-    def terms(self):
-        return dict(self._coeffs)
+    def __eq__(self, other):
+        return isinstance(other, LogProduct) and self.terms == other.terms
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for m, c in other.terms.items():
+            out[m] = out.get(m, Fraction(0)) + c
+        return LogProduct(out)
+
+    def __neg__(self):
+        return LogProduct({m: -c for m, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return LogProduct({m: c * other for m, c in self.terms.items()})
+        out = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                m = tuple(sorted(m1 + m2))
+                out[m] = out.get(m, Fraction(0)) + c1 * c2
+        return LogProduct(out)
+
+    __rmul__ = __mul__
+
+    def pow(self, k: int):
+        out = LogProduct.constant(1)
+        for _ in range(k):
+            out = out * self
+        return out
 
     def interval(self, prec: int) -> IV:
         total = IV(0)
-        for (g, h), c in sorted(self._coeffs.items()):
-            total = total + c * ln_bounds(g, prec) * ln_bounds(h, prec)
+        for mono, c in self.terms.items():
+            term = IV(c)
+            for p in mono:
+                term = term * ln_int_bounds(p, prec)
+            total = total + term
         return total
 
     def compare(self, cap_bits: int | None = None) -> str:
         """Certified sign of the form: negative | zero | positive | undecidable.
 
-        Zero is reported only from the exact canonical form (a multiplicative
-        dependence witness); intervals never certify a tie.
+        Zero is reported only when the prime-basis expansion cancels, an
+        identity; intervals never certify a tie.
         """
-        if self.is_canonically_zero():
+        if not self.terms:
             return ZERO
         cap = cap_bits if cap_bits is not None else precision_cap_bits()
         prec = PRECISION_START_BITS
@@ -262,8 +297,21 @@ class LogProduct:
             prec = min(2 * prec, cap)
 
     def __repr__(self):
-        ts = ", ".join(f"{c}*ln({g})*ln({h})" for (g, h), c in sorted(self._coeffs.items()))
-        return f"LogProduct({ts or '0'})"
+        if not self.terms:
+            return "0"
+        bits = []
+        for m, c in self.terms.items():
+            mono = "*".join(f"L{p}" for p in m) or "1"
+            bits.append(f"{c}*{mono}")
+        return " + ".join(bits)
+
+
+def log_orientation(p1, p2, p3, cap_bits: int | None = None) -> str:
+    """Sign of the turn (log p1) -> (log p2) -> (log p3) for points (x, y)
+    of positive integers: zero means collinear with an exact witness."""
+    (x1, y1), (x2, y2), (x3, y3) = p1, p2, p3
+    lp = LogProduct().add_product(Fraction(x2, x1), Fraction(y3, y1))
+    return lp.add_product(Fraction(x3, x1), Fraction(y2, y1), -1).compare(cap_bits)
 
 
 def compare_log_product(pairs, cap_bits: int | None = None) -> str:

@@ -168,8 +168,7 @@ def _ascii_polygon(poly) -> str:
     width = 64
     pts = list(poly.plotted)
     ymax = max(y for _, y in pts)
-    xmin, xmax = math.log(pts[0][0]) if pts[0][0] > 1 else 0.0, math.log(pts[-1][0])
-    xmin = math.log(min(i for i, _ in pts))
+    xmin, xmax = math.log(min(i for i, _ in pts)), math.log(pts[-1][0])
     span = max(xmax - xmin, 1e-9)
 
     def col(i):

@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import json
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, lcm
+from types import MappingProxyType
 
 
 class UnfactoredResidueError(ValueError):
@@ -39,13 +41,15 @@ class Ring:
 
     def coerce(self, x):
         if self.kind == "Z":
-            if isinstance(x, Fraction):
-                if x.denominator != 1:
-                    raise ValueError(f"{x} is not an integer")
-                return int(x)
+            if isinstance(x, Fraction) and x.denominator != 1:
+                raise ValueError(f"{x} is not an integer")
             return int(x)
         if self.kind == "Q":
             return Fraction(x)
+        if isinstance(x, Fraction):
+            if x.denominator % self.p == 0:
+                raise ValueError(f"{x} has no residue mod {self.p}")
+            return x.numerator * pow(x.denominator, -1, self.p) % self.p
         return int(x) % self.p
 
     def add(self, a, b):
@@ -56,11 +60,6 @@ class Ring:
 
     def neg(self, a):
         return (-a) % self.p if self.kind == "Fp" else -a
-
-    def is_unit(self, a):
-        if self.kind == "Z":
-            return a in (1, -1)
-        return a != 0
 
     def __str__(self):
         return f"F{self.p}" if self.kind == "Fp" else self.kind
@@ -120,6 +119,58 @@ def factor_integer(n: int, cap: int = FACTOR_CAP_DEFAULT) -> list[tuple[int, int
     return out
 
 
+_EXPONENT_CACHE: dict[int, Mapping[int, int]] = {}
+
+
+def exponents(n: int, cap: int = FACTOR_CAP_DEFAULT) -> Mapping[int, int]:
+    """The prime exponents {p: v_p(n)} of n >= 1, primes ascending.
+
+    The one source of index exponents for every lattice, segment and log
+    question; cached like factor_integer.  The mapping is shared between
+    callers, hence read-only.
+    """
+    out = _EXPONENT_CACHE.get(n)
+    if out is None:
+        out = MappingProxyType(dict(factor_integer(n, cap)))
+        if n <= 10**6:
+            _EXPONENT_CACHE[n] = out
+    return out
+
+
+def log_gcd(a: int, b: int) -> int:
+    """gcd over primes p of v_p(b) - v_p(a) (0 when a = b): the number of
+    steps of the log-integral lattice on the segment from log a to log b."""
+    ea, eb = exponents(a), exponents(b)
+    return gcd_list(eb.get(p, 0) - ea.get(p, 0) for p in ea.keys() | eb.keys())
+
+
+def max_exponents(indices) -> dict[int, int]:
+    """Largest exponent of each prime over the given indices, primes
+    ascending: a factor's indices cannot exceed it in any prime, since
+    prime exponents add under the Dirichlet product."""
+    out: dict[int, int] = {}
+    for i in indices:
+        for p, e in exponents(i).items():
+            out[p] = max(out.get(p, 0), e)
+    return dict(sorted(out.items()))
+
+
+def iroot(x: int, k: int) -> int | None:
+    """The integer r >= 0 with r^k = x, or None when x >= 0 is not a
+    perfect k-th power.  Integer Newton iteration, no floating point."""
+    if x < 0 or k < 1:
+        raise ValueError("iroot needs x >= 0 and k >= 1")
+    if x < 2 or k == 1:
+        return x
+    r = 1 << -(-x.bit_length() // k)  # at least the real root
+    while True:
+        s = ((k - 1) * r + x // r ** (k - 1)) // k
+        if s >= r:
+            break
+        r = s
+    return r if r**k == x else None
+
+
 def valuation(n: int, p: int) -> int:
     """nu_p(n) for n != 0."""
     if n == 0:
@@ -144,10 +195,6 @@ def divisors(n: int) -> list[int]:
     for p, e in factor_integer(n):
         ds = [d * p**k for d in ds for k in range(e + 1)]
     return sorted(ds)
-
-
-def radical_primes(n: int) -> list[int]:
-    return [p for p, _ in factor_integer(n)]
 
 
 def is_prime(n: int) -> bool:
@@ -188,12 +235,6 @@ def gcd_list(xs) -> int:
     for x in xs:
         g = gcd(g, abs(x))
     return g
-
-
-def ceil_sqrt_of_product(a: int, p: int) -> int:
-    """ceil(a * sqrt(p)) for nonnegative integers, exactly."""
-    r = isqrt(a * a * p)
-    return r if r * r == a * a * p else r + 1
 
 
 # ---------------------------------------------------------------------------
@@ -259,9 +300,6 @@ class DirichletPoly:
             raise ValueError("zero polynomial has no min-degree")
         return min(self._terms)
 
-    def relative_degree(self) -> Fraction:
-        return Fraction(self.degree, self.deg_min)
-
     def leading_coeff(self):
         return self._terms[self.degree]
 
@@ -313,12 +351,6 @@ class DirichletPoly:
         c = self.ring.coerce(c)
         return DirichletPoly({i: self.ring.mul(a, c) for i, a in self._terms.items()}, self.ring)
 
-    def shift_indices(self, d: int) -> "DirichletPoly":
-        """Multiply every index by d (the single-term factor 1/d^s)."""
-        if d < 1:
-            raise ValueError("shift must be >= 1")
-        return DirichletPoly({i * d: c for i, c in self._terms.items()}, self.ring)
-
     def pow(self, e: int) -> "DirichletPoly":
         r = DirichletPoly({1: 1}, self.ring)
         for _ in range(e):
@@ -341,10 +373,7 @@ class DirichletPoly:
             return gcd_list(self._terms.values())
         if self.ring.kind == "Q":
             num = gcd_list(c.numerator for c in self._terms.values())
-            den = 1
-            for c in self._terms.values():
-                den = den * c.denominator // gcd(den, c.denominator)
-            return Fraction(num, den)
+            return Fraction(num, lcm(*(c.denominator for c in self._terms.values())))
         raise ValueError("content over a field is a unit")
 
     def is_algebraically_primitive(self) -> bool:
@@ -387,11 +416,8 @@ class DirichletPoly:
             return self.normalize()[1]
         if self.ring.kind != "Q":
             raise ValueError("needs Z or Q coefficients")
-        den = 1
-        for c in self._terms.values():
-            den = den * c.denominator // gcd(den, c.denominator)
-        ints = DirichletPoly({i: c * den for i, c in self._terms.items()}, ZZ)
-        return ints.normalize()[1]
+        k = self.content()
+        return DirichletPoly({i: c / k for i, c in self._terms.items()}, ZZ).normalize()[1]
 
     # -- maps and evaluations ----------------------------------------------
 
@@ -408,16 +434,11 @@ class DirichletPoly:
             raise ValueError("reduce_mod needs integer coefficients")
         return DirichletPoly({i: c % p for i, c in self._terms.items()}, GF(p))
 
-    def lift_to_z(self) -> "DirichletPoly":
-        if self.ring.kind != "Fp":
-            raise ValueError("lift_to_z needs F_p coefficients")
-        return DirichletPoly(self._terms, ZZ)
-
     def relevant_primes(self, cap: int = FACTOR_CAP_DEFAULT) -> list[int]:
         """Primes dividing at least one support index."""
         ps = set()
         for i in self._terms:
-            ps.update(p for p, _ in factor_integer(i, cap))
+            ps.update(exponents(i, cap))
         return sorted(ps)
 
     # -- text and JSON forms ------------------------------------------------
@@ -451,15 +472,12 @@ class DirichletPoly:
 
     @classmethod
     def from_json(cls, s: str) -> "DirichletPoly":
-        obj = json.loads(s)
-        kind = obj.get("ring", "Z")
-        ring = GF(obj["p"]) if kind == "Fp" else Ring(kind)
+        obj, ring = json_object(s)
         terms = []
         for entry in obj["terms"]:
-            i, c = entry
-            if isinstance(c, list):
-                c = Fraction(c[0], c[1])
-            terms.append((i, c))
+            if not isinstance(entry, list) or len(entry) != 2:
+                raise ValueError(f"term {entry!r} is not an [index, coeff] pair")
+            terms.append((json_int(entry[0]), json_coeff(entry[1])))
         return cls(terms, ring)
 
     @classmethod
@@ -478,6 +496,43 @@ class DirichletPoly:
         if ring is None:
             ring = ZZ if all(c.denominator == 1 for c in terms.values()) else QQ
         return cls(terms, ring)
+
+
+# ---------------------------------------------------------------------------
+# the JSON input form shared with MultiDirichletPoly; every malformed field
+# raises ValueError
+
+
+def json_object(s: str) -> tuple[dict, Ring]:
+    """The decoded object and its ring: "ring" is Z (the default), Q, or Fp
+    with the modulus in "p"; a bare "p" also means Fp."""
+    obj = json.loads(s)
+    if not isinstance(obj, dict) or not isinstance(obj.get("terms"), list):
+        raise ValueError("JSON input needs an object with a list of terms")
+    kind = obj.get("ring", "Fp" if "p" in obj else "Z")
+    if kind == "Fp":
+        if "p" not in obj:
+            raise ValueError('ring Fp needs its modulus "p"')
+        return obj, GF(json_int(obj["p"]))
+    return obj, Ring(kind)
+
+
+def json_int(x) -> int:
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError(f"expected an integer, got {x!r}")
+    return x
+
+
+def json_coeff(c):
+    """An integer coefficient, or [numerator, denominator] for a rational."""
+    if isinstance(c, list):
+        if len(c) != 2:
+            raise ValueError(f"rational coefficient {c!r} is not [numerator, denominator]")
+        num, den = json_int(c[0]), json_int(c[1])
+        if den == 0:
+            raise ValueError(f"rational coefficient {c!r} has a zero denominator")
+        return Fraction(num, den)
+    return json_int(c)
 
 
 def _split_terms(s: str) -> list[tuple[int, str]]:
@@ -529,10 +584,6 @@ def _parse_term(body: str) -> tuple[Fraction, int]:
         return Fraction(body.replace("(", "").replace(")", "").strip()), 1
     except ValueError:
         raise ValueError(f"cannot parse term {body!r}") from None
-
-
-def one(ring: Ring = ZZ) -> DirichletPoly:
-    return DirichletPoly({1: 1}, ring)
 
 
 # ---------------------------------------------------------------------------
@@ -625,7 +676,7 @@ def phi_map(f: DirichletPoly, cap: int = FACTOR_CAP_DEFAULT) -> MultivariatePoly
     terms = {}
     for i, c in f.items():
         exps: list[int] = []
-        for p, e in factor_integer(i, cap):
+        for p, e in exponents(i, cap).items():
             k = slot_for_prime(p)
             while len(exps) <= k:
                 exps.append(0)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import DirichletPoly, divisors, factor_integer, smallest_prime_factor
+from .core import DirichletPoly, divisors, exponents, smallest_prime_factor
 from . import report
 from .report import CriterionReport, inconclusive, irreducible
 
@@ -61,19 +61,11 @@ def relative_degree_sets(m: int, n: int, k: int = 1) -> RelativeDegreeSets:
     return RelativeDegreeSets(m, n, k, tuple(s_rd), tuple(s_rd_k), rho, delta, wit)
 
 
-def rho_of(m: int, n: int) -> Fraction:
-    return relative_degree_sets(m, n).rho
-
-
-def delta_of(m: int, n: int) -> Fraction | None:
-    return relative_degree_sets(m, n).delta
-
-
 def min_factor_count_bound(m: int, n: int) -> int:
     """Smallest k with S^k_rd(m, n) empty: an algebraically primitive
     polynomial with this degree pair splits into at most k irreducibles.
     Computed from the rational floor: S^k empty iff delta^(k+1) > n/m."""
-    d = delta_of(m, n)
+    d = relative_degree_sets(m, n).delta
     nm = Fraction(n, m)
     k = 1
     while d ** (k + 1) <= nm:
@@ -95,8 +87,7 @@ def quick_irreducibility(f: DirichletPoly) -> CriterionReport:
     n, m = f.degree, f.deg_min
     supp = f.support()
 
-    fn = factor_integer(n)
-    if fn[-1][0] == n and fn[-1][1] == 1 and len(fn) == 1:
+    if exponents(n) == {n: 1}:
         return irreducible("prime-degree", f"degree {n} is prime", n=n)
 
     p_n = smallest_prime_factor(n)
@@ -140,21 +131,20 @@ def quick_irreducibility(f: DirichletPoly) -> CriterionReport:
 
 def max_multiplicity(n: int) -> int:
     """M(n) = max exponent in the factorization of n (0 for n = 1)."""
-    fac = factor_integer(n)
-    return max((e for _, e in fac), default=0)
+    return max(exponents(n).values(), default=0)
 
 
 def n_below_k(n: int, k: int) -> int:
     """Product of the prime powers of n with exponent < k."""
     out = 1
-    for p, e in factor_integer(n):
+    for p, e in exponents(n).items():
         if e < k:
             out *= p**e
     return out
 
 
 def smallest_prime_with_multiplicity(n: int, k: int) -> int | None:
-    for p, e in factor_integer(n):
+    for p, e in exponents(n).items():
         if e >= k:
             return p
     return None

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .core import Ring, ZZ, gcd_list
+from .core import ZZ, Ring, gcd_list, json_coeff, json_int, json_object
 
 
 class MultiDirichletPoly:
@@ -168,22 +168,16 @@ class MultiDirichletPoly:
 
     @classmethod
     def from_json(cls, s: str) -> "MultiDirichletPoly":
-        obj = json.loads(s)
-        variables = obj["vars"]
-        if "p" in obj:
-            from .core import GF
-
-            ring = GF(obj["p"])
-        elif obj.get("ring") == "Q":
-            ring = Ring("Q")
-        else:
-            ring = ZZ
+        obj, ring = json_object(s)
+        variables = obj.get("vars")
+        if not isinstance(variables, list) or not all(isinstance(v, str) for v in variables):
+            raise ValueError('"vars" must be a list of variable names')
         terms = []
         for t in obj["terms"]:
-            c = t["coeff"]
-            if isinstance(c, list):
-                c = Fraction(c[0], c[1])
-            terms.append((tuple(t["indices"]), c))
+            if not isinstance(t, dict) or not isinstance(t.get("indices"), list) \
+                    or "coeff" not in t:
+                raise ValueError(f"term {t!r} needs a list of indices and a coeff")
+            terms.append((tuple(json_int(i) for i in t["indices"]), json_coeff(t["coeff"])))
         return cls(terms, variables, ring)
 
     def text(self) -> str:

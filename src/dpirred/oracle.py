@@ -19,9 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
-from .core import DirichletPoly, ZZ, divisors, factor_integer, gcd_list
+from .core import (ZZ, DirichletPoly, UnfactoredResidueError, divisors, exponents,
+                   gcd_list, max_exponents, smallest_prime_factor)
 from .certlog import multiplicative_dependence_ratio
 
 FACTORED = "factored"
@@ -169,13 +170,9 @@ def _poly_gcd(polys):
 def _integer_roots(polys) -> list[int]:
     """Common integer roots of rational-coefficient polynomials."""
     poly = _poly_gcd(polys)
-    if not poly:
+    if len(poly) <= 1:
         return []
-    if len(poly) == 1:
-        return []
-    den = 1
-    for c in poly:
-        den = den * c.denominator // gcd(den, c.denominator)
+    den = lcm(*(c.denominator for c in poly))
     ints = [int(c * den) for c in poly]
     roots = []
     z = 0
@@ -192,15 +189,9 @@ def _integer_roots(polys) -> list[int]:
             roots.append(num // lead)
         return sorted(set(roots))
     try:
-        a0 = abs(ints[0])
-        from .core import UnfactoredResidueError
-
-        try:
-            cand = divisors(a0)
-        except UnfactoredResidueError:
-            raise _RootExtractionError(a0)
-    except _RootExtractionError:
-        raise
+        cand = divisors(abs(ints[0]))
+    except UnfactoredResidueError:
+        raise _RootExtractionError(abs(ints[0])) from None
     for d in cand:
         for x in (d, -d):
             if sum(c * x**i for i, c in enumerate(ints)) == 0:
@@ -283,18 +274,8 @@ def _shapes(m: int, n: int):
     return out
 
 
-def _support_profile(fd: dict) -> dict[int, int]:
-    """Max prime valuation over the support: factors cannot exceed it in
-    any prime (degrees in the prime-indexed indeterminates are additive)."""
-    prof: dict[int, int] = {}
-    for i in fd:
-        for p, e in factor_integer(i):
-            prof[p] = max(prof.get(p, 0), e)
-    return prof
-
-
 def _index_allowed(j: int, prof: dict[int, int]) -> bool:
-    for p, e in factor_integer(j):
+    for p, e in exponents(j).items():
         if prof.get(p, 0) < e:
             return False
     return True
@@ -319,7 +300,7 @@ def _search_z(fd: dict, height_bound: int, node_cap: int):
 
     # interior indices a factor can actually use: within the support's
     # per-prime valuation profile (prime degrees are additive under products)
-    prof = _support_profile(fd)
+    prof = max_exponents(fd)
     narrow = []
     wide = []
     for c1, d1 in _shapes(m, n):
@@ -379,7 +360,7 @@ def _search_z(fd: dict, height_bound: int, node_cap: int):
 def _search_fp(fd: dict, p: int):
     m, n = min(fd), max(fd)
     nodes = 0
-    prof = _support_profile(fd)
+    prof = max_exponents(fd)
     for c1, d1 in _shapes(m, n):
         idxs = [c1] + [j for j in range(c1 + 1, d1) if _index_allowed(j, prof)]
         # g monic in the leading slot; enumerate the rest, min coefficient nonzero
@@ -442,7 +423,7 @@ def brute_force_factor(
     if d > 1:
         if len(supp) == 1:
             i, c = next(iter(work.items()))
-            q = factor_integer(i)[0][0]
+            q = smallest_prime_factor(i)
             if q == i:
                 return OracleResult(IRREDUCIBLE_CERTIFIED)
             g = DirichletPoly({q: 1}, ring)
@@ -462,16 +443,11 @@ def brute_force_factor(
             return OracleResult(FACTORED, _verified(work, g, h), nodes=nodes)
         return OracleResult(IRREDUCIBLE_CERTIFIED, nodes=nodes)
 
-    if height_bound is None:
-        from .primevalue import gelfond_factor_height_bound
+    from .primevalue import gelfond_factor_height_bound
 
-        bound = gelfond_factor_height_bound(work)
-        bound_is_complete = True
-    else:
-        bound = height_bound
-        from .primevalue import gelfond_factor_height_bound
-
-        bound_is_complete = bound >= gelfond_factor_height_bound(work)
+    complete_bound = gelfond_factor_height_bound(work)
+    bound = complete_bound if height_bound is None else height_bound
+    bound_is_complete = bound >= complete_bound
 
     found, exhausted, nodes = _search_z(fd, bound, node_cap)
     if found:

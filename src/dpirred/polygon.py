@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .core import DirichletPoly, factor_integer, gcd_list, valuation, valuation_q
+from .core import DirichletPoly, exponents, gcd_list, is_prime, log_gcd, valuation, valuation_q
 from .degrees import relative_degree_sets
 from . import report
 from .report import CriterionReport, inconclusive, irreducible
@@ -61,14 +61,15 @@ def _segment_data(x1: int, y1: int, x2: int, y2: int):
         pts = [(x, y1) for x in range(x1, x2 + 1)]
         ratios = tuple(Fraction(x + 1, x) for x in range(x1, x2))
         return x2 - x1, pts, ratios
-    primes = sorted({p for p, _ in factor_integer(x1)} | {p for p, _ in factor_integer(x2)})
-    diffs = [valuation(x2, p) - valuation(x1, p) for p in primes]
-    delta = gcd_list([y2 - y1] + diffs)
+    e1, e2 = exponents(x1), exponents(x2)
+    primes = sorted(e1.keys() | e2.keys())
+    diffs = [e2.get(p, 0) - e1.get(p, 0) for p in primes]
+    delta = gcd(y2 - y1, log_gcd(x1, x2))
     pts = []
     for i in range(delta + 1):
         x = 1
         for p, d in zip(primes, diffs):
-            x *= p ** (valuation(x1, p) + i * d // delta)
+            x *= p ** (e1.get(p, 0) + i * d // delta)
         y = y1 + i * (y2 - y1) // delta
         pts.append((x, y))
     ratio = Fraction(1)
@@ -104,13 +105,6 @@ class Edge:
     @property
     def width_ratio(self) -> Fraction:
         return Fraction(self.i2, self.i1)
-
-    @property
-    def segment_ratio(self) -> Fraction | None:
-        """Common relative degree of the segments (sloped edges); None when
-        a horizontal edge mixes ratios."""
-        distinct = set(self.segment_ratios)
-        return next(iter(distinct)) if len(distinct) == 1 else None
 
     def interior_points(self):
         return self.points[1:-1]
@@ -152,24 +146,14 @@ class LogPolygon:
         Equivalent to r^(y_n - y_i) < n/i for every plotted i < n with
         y_i < y_n."""
         n, yn = self.vertices[-1]
-        ok = True
-        for i, yi in self.plotted:
-            if i < n and yi < yn:
-                if r ** (yn - yi) >= Fraction(n, i):
-                    ok = False
-                    break
-        return ok
+        return all(r ** (yn - yi) < Fraction(n, i)
+                   for i, yi in self.plotted if i < n and yi < yn)
 
     def leftmost_slope_above(self, r: Fraction) -> bool:
         """Exact test: slope of the leftmost edge > -1 / log r  (r > 1)."""
         m, ym = self.vertices[0]
-        ok = True
-        for i, yi in self.plotted:
-            if i > m and yi < ym:
-                if r ** (ym - yi) >= Fraction(i, m):
-                    ok = False
-                    break
-        return ok
+        return all(r ** (ym - yi) < Fraction(i, m)
+                   for i, yi in self.plotted if i > m and yi < ym)
 
 
 def build_polygon(f: DirichletPoly, p: int, shift_t: int = 0) -> LogPolygon:
@@ -241,9 +225,7 @@ def merge_vector_systems(a, b) -> list[tuple[Fraction, int]]:
                 break
         else:
             merged.append(v)
-    out = merged[:]
-    out.sort(key=_SlopeKey)
-    return out
+    return sorted(merged, key=_SlopeKey)
 
 
 class _SlopeKey:
@@ -276,7 +258,7 @@ def dumas_test(f: DirichletPoly, p: int, shift_t: int = 0) -> CriterionReport:
     if f.ring.kind == "Q":
         f = f.z_primitive_part()
     m, n = f.deg_min, f.degree
-    tw = {i: nu(c, p) + shift_t * valuation(i, p) for i, c in f.items()}
+    tw = {i: nu(c, p) + shift_t * exponents(i).get(p, 0) for i, c in f.items()}
     vm, vn = tw[m], tw[n]
     if vm == vn:
         return inconclusive("dumas", f"equal endpoint valuations at p={p}, t={shift_t}")
@@ -285,9 +267,7 @@ def dumas_test(f: DirichletPoly, p: int, shift_t: int = 0) -> CriterionReport:
             if Fraction(n, i) ** (vi - vm) <= Fraction(m, i) ** (vi - vn):
                 return inconclusive(
                     "dumas", f"support point {i} not above the endpoint chord (p={p})")
-    idx_diffs = [valuation(n, q) - valuation(m, q) for q in
-                 sorted({q for q, _ in factor_integer(m * n)})]
-    g = gcd_list([vn - vm] + idx_diffs)
+    g = gcd(vn - vm, log_gcd(m, n))
     if g != 1:
         return inconclusive(
             "dumas", f"endpoint chord carries {g} segments (p={p}, t={shift_t})")
@@ -315,8 +295,9 @@ def dumas_equal_height_test(f: DirichletPoly, p: int | None = None) -> Criterion
     m, n = f.deg_min, f.degree
     if abs(f.min_coeff()) != abs(f.leading_coeff()):
         return inconclusive("dumas-equal-height", "|a_m| != |a_n|")
+    em, en = exponents(m), exponents(n)
     candidates = [p] if p is not None else [
-        q for q, _ in factor_integer(m * n) if valuation(m, q) < valuation(n, q)]
+        q for q in sorted(em.keys() | en.keys()) if em.get(q, 0) < en.get(q, 0)]
     for q in candidates:
         rep = dumas_test(f, q, shift_t=1)
         if rep.verdict == report.IRREDUCIBLE:
@@ -416,17 +397,6 @@ def multi_prime_test(f: DirichletPoly, primes: list[int]) -> CriterionReport:
     return inconclusive("multi-prime", detail, candidates=sorted(inter), capped=any_capped)
 
 
-def shape_label(f: DirichletPoly, p: int, q: int) -> str:
-    """Readability label for two-prime firings: the slope signature of the
-    two polygons (d = down, u = up, f = flat per edge)."""
-    def sig(poly):
-        out = ""
-        for e in poly.edges:
-            out += "d" if e.rise < 0 else ("u" if e.rise > 0 else "f")
-        return out
-    return f"{sig(build_polygon(f, p))}|{sig(build_polygon(f, q))}"
-
-
 # ---------------------------------------------------------------------------
 # linear combinations f + p^k g
 
@@ -444,14 +414,12 @@ def lone_slope_combination_test(f: DirichletPoly, g: DirichletPoly, p: int, k: i
         raise ValueError("both polynomials must share integer coefficients")
     if f.is_zero() or g.is_zero():
         raise ValueError("nonzero inputs required")
-    if not is_prime_int(p) or k < 1:
+    if not is_prime(p) or k < 1:
         raise ValueError("p must be prime and k >= 1")
     h = f + g.scale(p**k)
 
     def seg_gcd_ok(a: int, b: int) -> bool:
-        qs = sorted({q for q, _ in factor_integer(a * b)})
-        diffs = [valuation(b, q) - valuation(a, q) for q in qs]
-        return gcd_list([k] + diffs) == 1
+        return gcd(k, log_gcd(a, b)) == 1
 
     m, n = f.degree, g.degree
     if m < n and gcd(m, n) == 1 and f.leading_coeff() % p != 0 and \
@@ -477,11 +445,6 @@ def lone_slope_combination_test(f: DirichletPoly, g: DirichletPoly, p: int, k: i
 
     return inconclusive("linear-combination-slope",
                         "neither extreme-slope variant applies", combined=h.text())
-
-
-def is_prime_int(p: int) -> bool:
-    from .core import is_prime
-    return is_prime(p)
 
 
 # ---------------------------------------------------------------------------

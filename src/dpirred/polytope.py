@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import factor_integer, gcd_list
-from .certlog import LogProduct, NEGATIVE, POSITIVE, ZERO
+from .core import exponents, gcd_list, iroot, log_gcd
+from .certlog import NEGATIVE, POSITIVE, ZERO, log_orientation
 from .multivariate import MultiDirichletPoly
 from . import report
 from .report import LOG_INDEPENDENCE, CriterionReport, inconclusive
@@ -31,18 +31,6 @@ ExponentPoint = tuple[int, ...]  # positive integer index per indeterminate
 # gcd-bar arithmetic and lattice points on segments
 
 
-def _coordinate_gcd(a: int, b: int) -> int:
-    """gcd of the valuation differences between coordinates a and b
-    (0 when a = b)."""
-    primes = {p for p, _ in factor_integer(a)} | {p for p, _ in factor_integer(b)}
-    diffs = []
-    for p in primes:
-        va = sum(e for q, e in factor_integer(a) if q == p)
-        vb = sum(e for q, e in factor_integer(b) if q == p)
-        diffs.append(vb - va)
-    return gcd_list(diffs)
-
-
 def gcd_bar(v: ExponentPoint, w: ExponentPoint) -> int:
     """gcd over coordinates of the per-prime valuation-difference gcds:
     the number of lattice subdivisions of the segment between the log
@@ -51,7 +39,7 @@ def gcd_bar(v: ExponentPoint, w: ExponentPoint) -> int:
         raise ValueError("points must differ")
     if len(v) != len(w):
         raise ValueError("dimension mismatch")
-    return gcd_list(_coordinate_gcd(a, b) for a, b in zip(v, w))
+    return gcd_list(log_gcd(a, b) for a, b in zip(v, w))
 
 
 def gcd_bar_multi(segments) -> int:
@@ -67,12 +55,10 @@ def segment_lattice_points(v: ExponentPoint, w: ExponentPoint) -> list[ExponentP
     for i in range(d + 1):
         coords = []
         for a, b in zip(v, w):
-            primes = sorted(
-                {p for p, _ in factor_integer(a)} | {p for p, _ in factor_integer(b)})
+            ea, eb = exponents(a), exponents(b)
             x = 1
-            for p in primes:
-                va = next((e for q, e in factor_integer(a) if q == p), 0)
-                vb = next((e for q, e in factor_integer(b) if q == p), 0)
+            for p in ea.keys() | eb.keys():
+                va, vb = ea.get(p, 0), eb.get(p, 0)
                 x *= p ** (va + i * (vb - va) // d)
             coords.append(x)
         out.append(tuple(coords))
@@ -83,17 +69,12 @@ def segment_lattice_points(v: ExponentPoint, w: ExponentPoint) -> list[ExponentP
 # exponent lift and exact hull membership
 
 
-def _lift_basis(points):
-    primes = sorted({p for pt in points for i in pt for p, _ in factor_integer(i)})
-    return primes
+def _lift_basis(points) -> list[int]:
+    return sorted({p for pt in points for i in pt for p in exponents(i)})
 
 
 def _lift(pt: ExponentPoint, primes: list[int]) -> tuple[int, ...]:
-    out = []
-    for i in pt:
-        fac = dict(factor_integer(i))
-        out.extend(fac.get(p, 0) for p in primes)
-    return tuple(out)
+    return tuple(exponents(i).get(p, 0) for i in pt for p in primes)
 
 
 def _feasible(A: list[list[Fraction]], b: list[Fraction]) -> bool:
@@ -197,10 +178,7 @@ class LogPolytope:
 
     @classmethod
     def of(cls, f: MultiDirichletPoly) -> "LogPolytope":
-        supp = tuple(sorted(f.support()))
-        verts = tuple(hull_vertices(list(supp)))
-        flags = () if f.n_vars() == 1 else (LOG_INDEPENDENCE,)
-        return cls(f.n_vars(), supp, verts, flags)
+        return cls.from_points(f.support())
 
     @classmethod
     def from_points(cls, points) -> "LogPolytope":
@@ -246,10 +224,7 @@ def two_term_absolute_irreducibility(
         f = f.algebraically_primitive_part()
         supp = f.support()
     (va, ca), (vb, cb) = sorted(f.items())
-    exps = []
-    for x in list(va) + list(vb):
-        exps.extend(e for _, e in factor_integer(x))
-    g = gcd_list(exps)
+    g = gcd_list(e for x in va + vb for e in exponents(x).values())
     if g == 1:
         return CriterionReport(
             report.ABSOLUTELY_IRREDUCIBLE, "two-term-exponent-gcd",
@@ -263,8 +238,9 @@ def two_term_absolute_irreducibility(
             "the coefficients, unavailable without an algebraically closed field",
             gcd=g,
         )
-    alpha = tuple(_int_root_exact(x, g) for x in va)
-    beta = tuple(_int_root_exact(x, g) for x in vb)
+    # every exponent of every index is a multiple of g, so the roots exist
+    alpha = tuple(iroot(x, g) for x in va)
+    beta = tuple(iroot(x, g) for x in vb)
     cert = {"gcd": g, "root_indices": (alpha, beta)}
     witness = _dth_power_witness(f, g, alpha, beta)
     if witness is not None:
@@ -281,14 +257,6 @@ def two_term_absolute_irreducibility(
         f"through {g}th roots of the coefficients",
         ("algebraically-closed-coefficient-field",), cert,
     )
-
-
-def _int_root_exact(x: int, g: int) -> int:
-    r = round(x ** (1 / g))
-    for c in (r - 1, r, r + 1):
-        if c >= 1 and c**g == x:
-            return c
-    raise ArithmeticError(f"{x} is not a perfect {g}th power")
 
 
 def _dth_power_witness(f: MultiDirichletPoly, g: int, alpha, beta):
@@ -308,17 +276,12 @@ def _dth_power_witness(f: MultiDirichletPoly, g: int, alpha, beta):
 
 
 def _maybe_sqrt(c):
-    if c is None or c < 0:
+    """The rational square root of c, or None."""
+    c = Fraction(c)
+    if c < 0:
         return None
-    if isinstance(c, Fraction):
-        from math import isqrt
-
-        rn, rd = isqrt(c.numerator), isqrt(c.denominator)
-        return Fraction(rn, rd) if rn * rn == c.numerator and rd * rd == c.denominator else None
-    from math import isqrt
-
-    r = isqrt(c)
-    return r if r * r == c else None
+    rn, rd = iroot(c.numerator, 2), iroot(c.denominator, 2)
+    return None if rn is None or rd is None else Fraction(rn, rd)
 
 
 # ---------------------------------------------------------------------------
@@ -338,12 +301,7 @@ def _hyperplane_separates(v: ExponentPoint, q_vertices: list[ExponentPoint]):
     if len(q_vertices) == 1:
         return "yes", "single-point"
     if n == 2 and len(q_vertices) == 2:
-        (a1, a2), (b1, b2) = q_vertices
-        c1, c2 = v
-        det = LogProduct()
-        det.add_product(Fraction(b1, a1), Fraction(c2, a2))
-        det.add_product(Fraction(c1, a1), Fraction(b2, a2), -1)
-        sign = det.compare()
+        sign = log_orientation(q_vertices[0], q_vertices[1], v)
         if sign in (POSITIVE, NEGATIVE):
             return "yes", "planar-determinant"
         if sign == ZERO:
@@ -351,26 +309,17 @@ def _hyperplane_separates(v: ExponentPoint, q_vertices: list[ExponentPoint]):
         return "unknown", "comparator-cap"
     # rational-normal route
     primes = _lift_basis([v] + list(q_vertices))
-    base = q_vertices[0]
-    rows = []
-    for q in q_vertices[1:]:
-        for pi, p in enumerate(primes):
-            row = []
-            for r in range(n):
-                vq = next((e for qq, e in factor_integer(q[r]) if qq == p), 0)
-                vb = next((e for qq, e in factor_integer(base[r]) if qq == p), 0)
-                row.append(Fraction(vq - vb))
-            rows.append(row)
-    basis = _nullspace_q(rows, n)
-    for c in basis:
-        for pi, p in enumerate(primes):
-            pair = Fraction(0)
-            for r in range(n):
-                vv = next((e for qq, e in factor_integer(v[r]) if qq == p), 0)
-                vb = next((e for qq, e in factor_integer(base[r]) if qq == p), 0)
-                pair += c[r] * (vv - vb)
-            if pair:
-                return "yes", "rational-normal"
+
+    def offsets(pt):
+        # one row per prime: its exponent in pt minus in q_1, coordinate by coordinate
+        return [[Fraction(exponents(a).get(p, 0) - exponents(b).get(p, 0))
+                 for a, b in zip(pt, q_vertices[0])] for p in primes]
+
+    rows = [row for q in q_vertices[1:] for row in offsets(q)]
+    apex = offsets(v)
+    for c in _nullspace_q(rows, n):
+        if any(sum(x * y for x, y in zip(c, row)) for row in apex):
+            return "yes", "rational-normal"
     return "unknown", "no-rational-normal"
 
 
@@ -459,10 +408,7 @@ def polytope_irreducibility(f: MultiDirichletPoly) -> CriterionReport:
             "log-polytope", "not algebraically primitive: single-term factor exists")
     supp = sorted(f.support())
     if len(supp) == 2:
-        rep = two_term_absolute_irreducibility(f, algebraically_closed=False)
-        if rep.verdict == report.ABSOLUTELY_IRREDUCIBLE:
-            return rep
-        return rep
+        return two_term_absolute_irreducibility(f, algebraically_closed=False)
     if len(supp) == 3:
         # two base points are always the vertices of their own hull; bigger
         # bases would need a vertex certificate and are left to the caller

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .core import DirichletPoly, factor_integer, is_prime, valuation
+from .core import DirichletPoly, exponents, iroot, is_prime, max_exponents, smallest_prime_factor
 from .certlog import IV, ln_bounds, precision_cap_bits, PRECISION_START_BITS
 from . import report
 from .report import CriterionReport, inconclusive
@@ -36,12 +36,8 @@ def gelfond_context(f: DirichletPoly) -> GelfondContext:
         raise ValueError("needs integer coefficients")
     if f.is_zero():
         raise ValueError("zero polynomial")
-    mult: dict[int, int] = {}
-    for i in f.support():
-        for p, e in factor_integer(i):
-            mult[p] = max(mult.get(p, 0), e)
-    ps = tuple(sorted(mult))
-    return GelfondContext(ps, tuple(mult[p] for p in ps), len(ps), f.height())
+    mult = max_exponents(f.support())
+    return GelfondContext(tuple(mult), tuple(mult.values()), len(mult), f.height())
 
 
 def gelfond_factor_height_bound(f: DirichletPoly) -> int:
@@ -135,7 +131,7 @@ def pth_root_is_irrational(f: DirichletPoly, t: int, P: int) -> bool:
     for r in f.relevant_primes():
         e = 0
         for i, a in f.items():
-            v = valuation(i, r) if i % r == 0 else 0
+            v = exponents(i).get(r, 0)
             if v:
                 e = (e + a % P * pow(i, t, P) % P * v) % P
         if e % P != 0:
@@ -198,7 +194,7 @@ def prime_value_test(
         )
 
     ctx = gelfond_context(f)
-    p = factor_integer(n)[0][0]
+    p = smallest_prime_factor(n)
     routes = []
     sharp = _exceeds(t, threshold_rhs(n, p, ctx.effective_variables, q, ctx.height), cap_bits)
     routes.append(("support-aware", sharp))
@@ -251,7 +247,7 @@ def scan_t(
                 continue
             ell = 1
             while True:
-                P = _int_root(w, ell)
+                P = iroot(w, ell)
                 if P is None:
                     ell += 1
                     if 1 << ell > w:
@@ -266,16 +262,3 @@ def scan_t(
                         return t, rep
                 break
     return None
-
-
-def _int_root(w: int, ell: int) -> int | None:
-    if ell == 1:
-        return w
-    lo, hi = 1, 1 << (w.bit_length() // ell + 1)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if mid**ell < w:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo if lo**ell == w else None

@@ -4,19 +4,20 @@ factor detection, and derivative matrices over a symbolic-log ring.
 Ranks are exact: Gaussian elimination over F_p, fraction-free elimination
 over Q, and fraction-free elimination over the field of fractions of the
 polynomial ring Q[L_p : p prime] for derivative matrices, where L_p stands
-for log p.  Full rank of a symbolic matrix certifies the real statement only
-if the logarithms of primes are algebraically independent, so those verdicts
-carry an assumption flag; a symbolic rank deficiency is a true identity and
-needs no assumption.
+for log p and the entries are certlog.LogProduct values.  Full rank of a
+symbolic matrix certifies the real statement only if the logarithms of
+primes are algebraically independent, so those verdicts carry an assumption
+flag; a symbolic rank deficiency is a true identity and needs no assumption.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
-from .core import DirichletPoly, factor_integer
+from .certlog import LogProduct
+from .core import DirichletPoly, exponents, gcd_list
 from .degrees import max_multiplicity
 from . import report
 from .report import LOG_INDEPENDENCE, CriterionReport, inconclusive
@@ -85,14 +86,9 @@ def rank_q(mat: SparseMatrix) -> int:
     for r in mat.row_lists():
         if not r:
             continue
-        den = 1
-        for v in r.values():
-            f = Fraction(v)
-            den = den * f.denominator // gcd(den, f.denominator)
+        den = lcm(*(Fraction(v).denominator for v in r.values()))
         ints = {j: int(Fraction(v) * den) for j, v in r.items()}
-        g = 0
-        for v in ints.values():
-            g = gcd(g, abs(v))
+        g = gcd_list(ints.values())
         rows.append({j: v // g for j, v in ints.items()})
     rank = 0
     while rows:
@@ -108,9 +104,7 @@ def rank_q(mat: SparseMatrix) -> int:
                 r = {j: a * r.get(j, 0) - c * piv.get(j, 0) for j in set(r) | set(piv)}
                 r = {j: v for j, v in r.items() if v}
                 if r:
-                    g = 0
-                    for v in r.values():
-                        g = gcd(g, abs(v))
+                    g = gcd_list(r.values())
                     r = {j: v // g for j, v in r.items()}
             if r:
                 out.append(r)
@@ -152,88 +146,7 @@ def nullspace_fp(mat: SparseMatrix) -> list[list[int]]:
     return basis
 
 
-# ---------------------------------------------------------------------------
-# symbolic-log values: polynomials in the symbols L_p over Q
-
-
-class SymbolicLog:
-    """Q-linear combination of monomials in the symbols L_p (one per prime),
-    kept in a canonical sorted form.  Supports ring operations; degree-k
-    entries arise from expanding log^k of an integer."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        t = {}
-        if terms:
-            for mono, c in (terms.items() if isinstance(terms, dict) else terms):
-                mono = tuple(sorted(mono))
-                c = Fraction(c)
-                if c:
-                    t[mono] = t.get(mono, Fraction(0)) + c
-        self.terms = {m: c for m, c in sorted(t.items()) if c}
-
-    @classmethod
-    def constant(cls, c):
-        return cls({(): Fraction(c)})
-
-    @classmethod
-    def log_of(cls, n: int):
-        """log n expanded as sum nu_p(n) * L_p."""
-        if n < 1:
-            raise ValueError("log of nonpositive integer")
-        return cls({(p,): Fraction(e) for p, e in factor_integer(n)})
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return isinstance(other, SymbolicLog) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(tuple(self.terms.items()))
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
-        return SymbolicLog(out)
-
-    def __neg__(self):
-        return SymbolicLog({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return SymbolicLog({m: c * other for m, c in self.terms.items()})
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(sorted(m1 + m2))
-                out[m] = out.get(m, Fraction(0)) + c1 * c2
-        return SymbolicLog(out)
-
-    __rmul__ = __mul__
-
-    def pow(self, k: int):
-        out = SymbolicLog.constant(1)
-        for _ in range(k):
-            out = out * self
-        return out
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for m, c in self.terms.items():
-            mono = "*".join(f"L{p}" for p in m) or "1"
-            bits.append(f"{c}*{mono}")
-        return " + ".join(bits)
-
-
-def rank_symbolic(rows_in: list[dict[int, SymbolicLog]]) -> int:
+def rank_symbolic(rows_in: list[dict[int, LogProduct]]) -> int:
     """Fraction-free elimination over the fraction field of Q[L_p]."""
     rows = [dict(r) for r in rows_in if r]
     rank = 0
@@ -248,7 +161,7 @@ def rank_symbolic(rows_in: list[dict[int, SymbolicLog]]) -> int:
             c = r.get(j0)
             if c is not None:
                 r = {
-                    j: a * r.get(j, SymbolicLog()) - c * piv.get(j, SymbolicLog())
+                    j: a * r.get(j, LogProduct()) - c * piv.get(j, LogProduct())
                     for j in set(r) | set(piv)
                 }
                 r = {j: v for j, v in r.items() if v}
@@ -328,7 +241,7 @@ def build_a_matrix(f: DirichletPoly, p: int, k: int) -> SparseMatrix:
 def mobius_coprime_count(a: int, b: int) -> int:
     """Number of integers in [1, a] coprime to b, by Mobius inversion over
     the squarefree divisors of b."""
-    primes = [q for q, _ in factor_integer(b)]
+    primes = list(exponents(b))
     total = 0
     for mask in range(1 << len(primes)):
         d = 1
@@ -385,7 +298,7 @@ def k_power_free_charp(f: DirichletPoly, k: int) -> CriterionReport:
             f"no prime factor of deg f = {n} has multiplicity >= {k}",
             certificate={"k": k},
         )
-    qualifying = [q for q, e in factor_integer(n) if e >= k]
+    qualifying = [q for q, e in exponents(n).items() if e >= k]
     ranks = {}
     for p in qualifying:
         mat = build_b_matrix(f, p, k)
@@ -514,7 +427,7 @@ def common_factor_test(f: DirichletPoly, g: DirichletPoly, d: int = 1) -> Criter
 # derivative matrices over the symbolic-log ring
 
 
-def build_d_matrix(f: DirichletPoly, k: int = 1, d: int = 1) -> list[dict[int, SymbolicLog]]:
+def build_d_matrix(f: DirichletPoly, k: int = 1, d: int = 1) -> list[dict[int, LogProduct]]:
     """Rows of the common-factor system for (f, f^(k)) with the k-th
     derivative entries (-1)^k a_(i/j) log^k(i/j) expanded over the L_p
     symbols.  f must have a nonzero constant term (support starting at 1)."""
@@ -528,20 +441,20 @@ def build_d_matrix(f: DirichletPoly, k: int = 1, d: int = 1) -> list[dict[int, S
     cols = m // d
     rows_n = m * m // d
     fa = f.terms
-    rows: list[dict[int, SymbolicLog]] = []
+    rows: list[dict[int, LogProduct]] = []
     sign = Fraction(-1) ** k
     for i in range(1, rows_n + 1):
-        row: dict[int, SymbolicLog] = {}
+        row: dict[int, LogProduct] = {}
         for j in range(1, cols + 1):
             if i % j == 0:
                 a = fa.get(i // j)
                 if a:
-                    row[j - 1] = SymbolicLog.constant(a)
+                    row[j - 1] = LogProduct.constant(a)
         for j in range(1, cols + 1):
             if i % j == 0:
                 a = fa.get(i // j)
                 if a:
-                    val = SymbolicLog.log_of(i // j).pow(k) * (sign * Fraction(a))
+                    val = LogProduct.log_of(i // j).pow(k) * (sign * Fraction(a))
                     if val:
                         row[cols + j - 1] = val
         if row:

@@ -69,10 +69,6 @@ class CriterionReport:
             )
         return self
 
-    def summary(self) -> str:
-        flags = f" [assumes: {', '.join(self.assumptions)}]" if self.assumptions else ""
-        return f"{self.verdict} via {self.rule}: {self.detail}{flags}"
-
 
 def inconclusive(rule: str, detail: str = "", **cert) -> CriterionReport:
     return CriterionReport(INCONCLUSIVE, rule, detail, certificate=cert)

@@ -3,9 +3,10 @@ are Dirichlet polynomials in other indeterminates.
 
 Points are (log i, log deg_r a_i) with both coordinates logs of positive
 integers, so hull comparisons become sign questions about differences of
-products of logarithms: exact zero detection through multiplicative
-dependence, certified interval signs otherwise.  Hull slopes decrease left
-to right; zero coefficients are skipped (formally at minus infinity).
+products of logarithms: exact zero detection by cancellation in the
+prime-log basis of certlog.LogProduct, certified interval signs otherwise.
+Hull slopes decrease left to right; zero coefficients are skipped (formally
+at minus infinity).
 """
 
 from __future__ import annotations
@@ -14,13 +15,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .core import factor_integer, gcd_list, valuation
+from .core import gcd_list, log_gcd
 from .certlog import (
     LogProduct,
     NEGATIVE,
     POSITIVE,
     UNDECIDABLE as CMP_UNDECIDABLE,
     ZERO,
+    log_orientation,
 )
 from .multivariate import MultiDirichletPoly
 from .polytope import gcd_bar, segment_lattice_points
@@ -34,16 +36,6 @@ class HullUndecidable(RuntimeError):
     def __init__(self, partial):
         super().__init__("upper hull comparison undecidable at the precision cap")
         self.partial = partial
-
-
-def orientation(p1, p2, p3, cap_bits=None) -> str:
-    """Sign of the turn (log p1) -> (log p2) -> (log p3) for points (x, y)
-    of positive integers: zero means collinear with an exact witness."""
-    (x1, y1), (x2, y2), (x3, y3) = p1, p2, p3
-    lp = LogProduct()
-    lp.add_product(Fraction(x2, x1), Fraction(y3, y1))
-    lp.add_product(Fraction(x3, x1), Fraction(y2, y1), -1)
-    return lp.compare(cap_bits)
 
 
 @dataclass(frozen=True)
@@ -92,7 +84,7 @@ def build_upper_polygon(
     hull: list[tuple[int, int]] = []
     for pt in plotted:
         while len(hull) >= 2:
-            s = orientation(hull[-2], hull[-1], pt, cap_bits)
+            s = log_orientation(hull[-2], hull[-1], pt, cap_bits)
             if s == CMP_UNDECIDABLE:
                 raise HullUndecidable(tuple(hull))
             if s in (POSITIVE, ZERO):  # middle point on or below the chord
@@ -126,13 +118,14 @@ def upper_vector_system(poly: UpperLogPolygon):
     ]
 
 
+def _slope_sign(v, w, cap_bits) -> str:
+    """Sign of slope(v) - slope(w) for slopes log(yr)/log(xr), xr > 1,
+    through the comparator: the sign of ln(yv) ln(xw) - ln(yw) ln(xv)."""
+    return LogProduct().add_product(v[1], w[0]).add_product(w[1], v[0], -1).compare(cap_bits)
+
+
 def upper_slopes_equal(v1, v2, cap_bits=None) -> bool:
-    """Slopes log(yr)/log(xr) compared exactly through the comparator."""
-    (xr1, yr1), (xr2, yr2) = v1, v2
-    lp = LogProduct()
-    lp.add_product(yr1, xr2)
-    lp.add_product(yr2, xr1, -1)
-    return lp.compare(cap_bits) == ZERO
+    return _slope_sign(v1, v2, cap_bits) == ZERO
 
 
 def merge_upper_vector_systems(a, b, cap_bits=None):
@@ -146,18 +139,12 @@ def merge_upper_vector_systems(a, b, cap_bits=None):
         else:
             merged.append(v)
 
-    def key(v):
-        # decreasing slope order certified pairwise by insertion sort
-        return v
-
+    # decreasing slope order, certified pairwise by insertion sort
     out = []
     for v in merged:
         pos = len(out)
         for i, w in enumerate(out):
-            lp = LogProduct()
-            lp.add_product(v[1], w[0])
-            lp.add_product(w[1], v[0], -1)
-            if lp.compare(cap_bits) == POSITIVE:  # slope(v) > slope(w)
+            if _slope_sign(v, w, cap_bits) == POSITIVE:
                 pos = i
                 break
         out.insert(pos, v)
@@ -169,8 +156,9 @@ def stepanov_schmidt_test(
 ) -> CriterionReport:
     """Irreducibility when the upper polygon is one edge with no interior
     log-integral point: deg_inner a_m != deg_inner a_n, every interior
-    coefficient degree sits strictly below the endpoint chord, and the two
-    endpoint gcds (index valuations, degree valuations) are coprime."""
+    coefficient degree sits strictly below the endpoint chord, the two
+    endpoint gcds (index valuations, degree valuations) are coprime, and so
+    are the inner degrees of all coefficients."""
     if f.is_zero() or f.is_constant():
         raise ValueError("needs a nonconstant polynomial")
     if not f.is_algebraically_primitive():
@@ -201,14 +189,20 @@ def stepanov_schmidt_test(
                 return inconclusive(
                     "upper-polygon",
                     f"coefficient degree at index {i} not strictly below the chord")
-    d1 = gcd_list(valuation(n, p) - valuation(m, p)
-                  for p in {q for q, _ in factor_integer(m * n)})
-    d2 = gcd_list(valuation(dn, p) - valuation(dm, p)
-                  for p in {q for q, _ in factor_integer(dm * dn)})
+    d1, d2 = log_gcd(m, n), log_gcd(dm, dn)
     if gcd(d1, d2) != 1:
         return inconclusive(
             "upper-polygon",
             f"endpoint chord carries gcd({d1},{d2}) = {gcd(d1, d2)} segments")
+    # the chord rules out factors of positive degree in the outer variable;
+    # a factor in the inner variable alone divides every coefficient, so its
+    # degree divides every coefficient degree
+    g = gcd_list(degs.values())
+    if g != 1:
+        return inconclusive(
+            "upper-polygon",
+            f"coefficient degrees in {inner} share the divisor {g}: a factor in "
+            f"{inner} alone is not excluded")
     return CriterionReport(
         report.IRREDUCIBLE, "upper-polygon-chord",
         f"single-segment upper chord from ({m}, deg {dm}) to ({n}, deg {dn})",

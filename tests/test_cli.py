@@ -141,3 +141,35 @@ def test_console_script_entry():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "irreducible" in proc.stdout
+
+
+@pytest.mark.parametrize("text", [
+    '{"ring":"Q","terms":[[1,[1,0]],[2,1]]}',
+    '{"ring":"Fp","terms":[[1,1]]}',
+    '{"vars":["s","t"],"terms":[{"indices":[1,1],"coeff":[1,0]},{"indices":[2,3],"coeff":1}]}',
+    '{"vars":["s","t"],"terms":[{"indices":[2,3]}]}',
+    '{"terms":[[1,1]],"vars":"st"}',
+])
+def test_malformed_json_exits_one_with_one_line(capsys, text):
+    assert main(["analyze", text]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+    assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("text", ["1/5^s", "3/5^s", "1/6^s"])
+def test_single_term_agrees_with_oracle(capsys, text):
+    from dpirred.core import DirichletPoly
+    from dpirred.oracle import FACTORED, brute_force_factor
+
+    code, out = run_cli(capsys, "analyze", text, "--format", "json")
+    assert code == 0
+    obj = json.loads(out)
+    expected = "reducible" if brute_force_factor(DirichletPoly.parse(text)).status == FACTORED \
+        else "irreducible"
+    assert obj["verdict"] == expected
+    if expected == "reducible":
+        cert = obj["reports"][0]["certificate"]
+        product = DirichletPoly.parse(cert["g"]) * DirichletPoly.parse(cert["h"])
+        assert product == DirichletPoly.parse(text).normalize()[1]

@@ -1,4 +1,6 @@
 import random
+from functools import reduce
+from math import gcd
 
 import pytest
 from fractions import Fraction
@@ -11,7 +13,11 @@ from dpirred.core import (
     UnfactoredResidueError,
     ZZ,
     divisors,
+    exponents,
     factor_integer,
+    iroot,
+    log_gcd,
+    max_exponents,
     phi_inverse,
     phi_map,
     valuation,
@@ -158,3 +164,52 @@ def test_json_round_trip():
         assert DirichletPoly.from_json(f.to_json()) == f
     assert DirichletPoly.from_json('{"ring":"Z","terms":[[4,4],[6,4]]}') == \
         DirichletPoly({4: 4, 6: 4})
+
+
+def test_exponents_and_log_gcd():
+    assert exponents(1) == {}
+    assert exponents(360) == {2: 3, 3: 2, 5: 1}
+    assert list(exponents(2 * 3 * 5 * 7 * 11)) == [2, 3, 5, 7, 11]
+    assert log_gcd(4, 9) == 2 and log_gcd(8, 2) == 2 and log_gcd(12, 18) == 1
+    assert log_gcd(5, 5) == 0
+    assert max_exponents([4, 6, 8, 9, 10, 12, 15]) == {2: 3, 3: 2, 5: 1}
+    rng = random.Random(5)
+    for _ in range(200):
+        a, b = rng.randint(1, 10**4), rng.randint(1, 10**4)
+        primes = {p for p, _ in factor_integer(a * b)}
+        diffs = [valuation(b, p) - valuation(a, p) for p in primes]
+        assert log_gcd(a, b) == reduce(gcd, diffs, 0)
+
+
+def test_iroot():
+    assert iroot(0, 3) == 0 and iroot(1, 5) == 1 and iroot(17, 1) == 17
+    assert iroot(27, 3) == 3 and iroot(26, 3) is None and iroot(28, 3) is None
+    rng = random.Random(11)
+    for _ in range(300):
+        r, k = rng.randint(2, 10**25), rng.randint(2, 9)
+        assert iroot(r**k, k) == r
+        assert iroot(r**k + 1, k) is None and iroot(r**k - 1, k) is None
+    with pytest.raises(ValueError):
+        iroot(-8, 3)
+
+
+@pytest.mark.parametrize("text", [
+    '{"ring":"Q","terms":[[1,[1,0]],[2,1]]}',
+    '{"ring":"Fp","terms":[[1,1]]}',
+    '{"ring":"Fp","p":"3","terms":[[1,1]]}',
+    '{"ring":"R","terms":[[1,1]]}',
+    '{"ring":"Z","terms":[[1,1.5]]}',
+    '{"ring":"Z","terms":[[1]]}',
+    '{"ring":"Z"}',
+    '[1, 2]',
+])
+def test_from_json_malformed_raises_value_error(text):
+    with pytest.raises(ValueError):
+        DirichletPoly.from_json(text)
+
+
+def test_fp_rational_coefficients_reduce_exactly():
+    f = DirichletPoly.from_json('{"ring":"Fp","p":5,"terms":[[1,[1,2]],[4,1]]}')
+    assert f.terms == {1: 3, 4: 1}  # 1/2 = 3 mod 5
+    with pytest.raises(ValueError):
+        DirichletPoly.from_json('{"ring":"Fp","p":5,"terms":[[1,[1,10]],[4,1]]}')

@@ -88,6 +88,18 @@ def test_two_term_reducible_witness_verifies():
     assert u * v == f
 
 
+def test_two_term_huge_perfect_power():
+    # P^3 is far beyond the reach of a float cube root
+    P = 1
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59):
+        P *= p
+    f = MultiDirichletPoly({(P**3, 1): 1, (1, 8): -1}, ("s", "t"))
+    rep = two_term_absolute_irreducibility(f)
+    assert rep.verdict == report.REDUCIBLE
+    assert rep.certificate["gcd"] == 3
+    assert rep.certificate["root_indices"] == ((1, 2), (P, 1))
+
+
 def test_two_term_over_q_only_forward():
     f = MultiDirichletPoly({(4,): 1, (9,): 1}, ("s",))
     rep = two_term_absolute_irreducibility(f, algebraically_closed=False)

@@ -26,6 +26,25 @@ def test_ln_bounds_basic():
     assert neg.hi < 0
 
 
+def test_ln_bounds_independent_of_call_order():
+    from dpirred import certlog
+
+    n = 2**200 + 1
+
+    def fresh():
+        certlog._LN_CACHE.clear()
+        certlog._LN2_CACHE.clear()
+
+    fresh()
+    alone = certlog.ln_int_bounds(n, 64)
+    fresh()
+    certlog.ln_int_bounds(3, 64)
+    after_ln3 = certlog.ln_int_bounds(n, 64)
+    fresh()
+    assert (alone.lo, alone.hi) == (after_ln3.lo, after_ln3.hi)
+    assert alone.hi - alone.lo <= Fraction(1, 2**62)
+
+
 def test_gelfond_bound_examples():
     assert gelfond_factor_height_bound(DirichletPoly({1: 1, 2: 1})) == 2
     assert gelfond_factor_height_bound(DirichletPoly({1: -7})) == 7

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from dpirred.certlog import LogProduct
 from dpirred.core import DirichletPoly, GF, ZZ
 from dpirred.oracle import factor_completely, gcd_bounded, max_factor_multiplicity
 from dpirred.ranktests import (
@@ -17,7 +18,6 @@ from dpirred.ranktests import (
     mobius_coprime_count,
     rank_fp,
     rank_q,
-    SymbolicLog,
 )
 from dpirred import report
 
@@ -151,12 +151,15 @@ def test_exhaustive_common_factor_f2_deg4():
                 (f.text(), g.text())
 
 
-def test_symbolic_log_ring():
-    a = SymbolicLog.log_of(12)  # 2 L2 + L3
+def test_log_product_ring():
+    a = LogProduct.log_of(12)  # 2 L2 + L3
     assert a.terms == {(2,): 2, (3,): 1}
     sq = a.pow(2)
     assert sq.terms == {(2, 2): 4, (2, 3): 4, (3, 3): 1}
     assert (a - a).terms == {}
+    # the ranktests ring and the comparator are one form: the square above
+    # is the product of logs ln12 * ln12
+    assert sq == LogProduct().add_product(12, 12)
 
 
 def test_derivative_rank_square_detection():

@@ -11,7 +11,6 @@ from dpirred.certlog import (
     ZERO,
     compare_log_product,
     multiplicative_dependence_ratio,
-    primitive_root,
 )
 from dpirred.multivariate import MultiDirichletPoly
 from dpirred.upperpoly import (
@@ -26,10 +25,13 @@ EX13 = MultiDirichletPoly(
     {(1, 1): 1, (8, 1): 1, (8, 2): 1, (16, 1): 1, (16, 32): 1}, ("s", "t"))
 
 
-def test_primitive_root():
-    assert primitive_root(Fraction(8)) == (Fraction(2), 3)
-    assert primitive_root(Fraction(12)) == (Fraction(12), 1)
-    assert primitive_root(Fraction(9, 4)) == (Fraction(3, 2), 2)
+def test_log_product_power_identities():
+    # 8 = 2^3 and 9/4 = (3/2)^2 expand to multiples; 12 = 2^2 * 3 is no power
+    assert LogProduct.log_of(8) == LogProduct.log_of(2) * 3
+    assert LogProduct.log_of(12).terms == {(2,): 2, (3,): 1}
+    assert LogProduct.log_of(Fraction(9, 4)) == LogProduct.log_of(Fraction(3, 2)) * 2
+    assert compare_log_product([(8, 3, 1), (2, 3, -3)]) == ZERO
+    assert compare_log_product([(Fraction(9, 4), 5, 1), (Fraction(3, 2), 5, -2)]) == ZERO
 
 
 def test_multiplicative_dependence():
@@ -63,6 +65,60 @@ def test_compare_log_product_soundness_random():
             assert abs(true) < 1e-9
         else:
             pytest.fail("undecidable on generic input")
+
+
+def test_expanded_prime_basis_identities_are_zero_without_intervals(monkeypatch):
+    """ln(xy) ln(zw) = ln x ln z + ln x ln w + ln y ln z + ln y ln w and
+    ln(x^k) ln y = k ln x ln y, on random rationals: every such identity
+    compares zero by cancellation alone, with no interval evaluated."""
+    calls = []
+    interval = LogProduct.interval
+    monkeypatch.setattr(LogProduct, "interval",
+                        lambda self, prec: calls.append(prec) or interval(self, prec))
+    rng = random.Random(97)
+
+    def rat():
+        return Fraction(rng.randint(1, 60), rng.randint(1, 60))
+
+    for _ in range(500):
+        x, y, z, w = rat(), rat(), rat(), rat()
+        k, c = rng.randint(1, 4), rng.choice([1, -2, Fraction(3, 5)])
+        lp = LogProduct().add_product(x * y, z * w, c)
+        for a in (x, y):
+            for b in (z, w):
+                lp.add_product(a, b, -c)
+        lp.add_product(x**k, y, c).add_product(x, y, -k * c)
+        assert lp.compare() == ZERO
+    assert calls == []
+    # the same form with one term dropped is a real sign question
+    lp = LogProduct().add_product(6, 6).add_product(2, 2, -1).add_product(2, 3, -2)
+    assert lp.compare() == POSITIVE and calls
+
+
+def test_exact_log_chord_tie_is_zero_and_inconclusive():
+    import time
+
+    start = time.perf_counter()
+    tie = compare_log_product([(6, 6, 1), (2, 2, -1), (2, 3, -2), (3, 3, -1)])
+    assert tie == ZERO and time.perf_counter() - start < 0.01
+    from dpirred.analyze import analyze_multivariate
+
+    f = MultiDirichletPoly({k: 1 for k in ((1, 1), (1, 2), (2, 1), (2, 6), (4, 1), (4, 18))},
+                           ("s", "t"))
+    assert analyze_multivariate(f).verdict == report.INCONCLUSIVE
+
+
+def test_chord_with_common_inner_degree_is_inconclusive():
+    # (1/3^t + 1/5^t)(1/2^s + 1/(3^s 2^t)): the first factor lies in t alone
+    f = MultiDirichletPoly({(2, 3): 1, (2, 5): 1, (3, 6): 1, (3, 10): 1}, ("s", "t"))
+    g = MultiDirichletPoly({(1, 3): 1, (1, 5): 1}, ("s", "t"))
+    h = MultiDirichletPoly({(2, 1): 1, (3, 2): 1}, ("s", "t"))
+    assert g * h == f
+    for outer, inner in (("s", "t"), ("t", "s")):
+        assert stepanov_schmidt_test(f, outer, inner).verdict != report.IRREDUCIBLE
+    from dpirred.analyze import analyze_multivariate
+
+    assert analyze_multivariate(f).verdict == report.INCONCLUSIVE
 
 
 def test_near_tie_low_cap_is_undecidable_never_wrong():
