@@ -12,7 +12,7 @@ to a bounded search over the factor height bound, which is itself a
 complete bound, so an exhausted search is still a certificate.
 
 Over F_p the candidate factors are enumerated outright, which is a complete
-decision.
+decision unless the node cap stops it first.
 """
 
 from __future__ import annotations
@@ -357,7 +357,8 @@ def _search_z(fd: dict, height_bound: int, node_cap: int):
     return None, exhausted, nodes
 
 
-def _search_fp(fd: dict, p: int):
+def _search_fp(fd: dict, p: int, node_cap: int):
+    """Returns (factor pair | None, exhausted, nodes)."""
     m, n = min(fd), max(fd)
     nodes = 0
     prof = max_exponents(fd)
@@ -370,6 +371,8 @@ def _search_fp(fd: dict, p: int):
                 gd = {j: v for j, v in acc.items() if v}
                 gd[d1] = 1
                 nodes += 1
+                if nodes > node_cap:
+                    return None
                 h = _divide_fp(fd, gd, p)
                 if h and any(h.values()):
                     return gd, h
@@ -379,15 +382,17 @@ def _search_fp(fd: dict, p: int):
             for v in vals:
                 acc[j] = v
                 found = rec(pos + 1, acc)
-                if found:
+                if found or nodes > node_cap:
                     return found
             del acc[j]
             return None
 
         found = rec(0, {})
         if found:
-            return found, nodes
-    return None, nodes
+            return found, True, nodes
+        if nodes > node_cap:
+            return None, False, nodes
+    return None, True, nodes
 
 
 # ---------------------------------------------------------------------------
@@ -403,8 +408,8 @@ def brute_force_factor(
 
     Over Z the default height bound is the factor height bound derived from
     the support (complete for any true factor), so exhausting the search is
-    a certificate of irreducibility.  Over F_p enumeration is always
-    complete.
+    a certificate of irreducibility.  Over F_p enumeration is complete;
+    past node_cap the search stops with NONE_WITHIN_BOUND.
     """
     if f.is_zero() or f.is_constant():
         raise ValueError("oracle needs a nonconstant polynomial")
@@ -435,13 +440,14 @@ def brute_force_factor(
 
     fd = dict(work.items())
     if ring.kind == "Fp":
-        found, nodes = _search_fp(fd, ring.p)
+        found, exhausted, nodes = _search_fp(fd, ring.p, node_cap)
         if found:
             gd, hd = found
             g = DirichletPoly(gd, ring)
             h = DirichletPoly(hd, ring)
             return OracleResult(FACTORED, _verified(work, g, h), nodes=nodes)
-        return OracleResult(IRREDUCIBLE_CERTIFIED, nodes=nodes)
+        status = IRREDUCIBLE_CERTIFIED if exhausted else NONE_WITHIN_BOUND
+        return OracleResult(status, nodes=nodes)
 
     from .primevalue import gelfond_factor_height_bound
 

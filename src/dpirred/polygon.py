@@ -14,6 +14,7 @@ horizontal edge passes through every integer abscissa in range.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -310,28 +311,79 @@ def dumas_equal_height_test(f: DirichletPoly, p: int | None = None) -> Criterion
 # multi-prime engine
 
 
-SUBSET_PRODUCT_CAP = 1 << 20
+# Nodes one candidate_relative_degrees call may spend deciding its targets;
+# a target left undecided when they run out stays a candidate.
+CANDIDATE_NODE_BUDGET = 3000
+
+
+def subset_product_targets(profile, targets):
+    """The targets (each > 1) that are products of a sub-multiset of the
+    profile (ratios > 1), and whether the node budget ran out.
+
+    Each target is decided by a depth-first search over the distinct
+    ratios, largest first, trying 0..count copies of each.  A node fails
+    at once when its quotient exceeds the product of all remaining ratios;
+    failed (position, quotient) states are remembered across targets, keyed
+    on the quotient the node was entered with.  Targets still undecided
+    when CANDIDATE_NODE_BUDGET nodes are spent are kept, so the result is a
+    superset of the exact answer, and the flag is set.
+    """
+    groups = sorted(Counter(profile).items(), reverse=True)
+    room = [Fraction(1)] * (len(groups) + 1)   # room[i]: product of groups[i:]
+    for i in range(len(groups) - 1, -1, -1):
+        room[i] = room[i + 1] * groups[i][0] ** groups[i][1]
+    failed: set[tuple[int, Fraction]] = set()
+    nodes = CANDIDATE_NODE_BUDGET
+
+    def reachable(target):
+        # iterative, since a long horizontal edge makes the search deep
+        nonlocal nodes
+        stack = []   # frames [position, quotient entered with, quotient left, copies]
+        i, q = 0, target
+        while True:
+            if q == 1:
+                return True
+            if i < len(groups) and q <= room[i] and (i, q) not in failed:
+                if nodes == 0:
+                    return None
+                nodes -= 1
+                stack.append([i, q, q, 0])
+                i += 1
+                continue
+            # (i, q) failed: give the deepest open node one more copy
+            while stack:
+                frame = stack[-1]
+                pos, entered, left, copies = frame
+                ratio, count = groups[pos]
+                left /= ratio
+                if copies < count and left >= 1:
+                    frame[2:] = left, copies + 1
+                    i, q = pos + 1, left
+                    break
+                failed.add((pos, entered))
+                stack.pop()
+            else:
+                return False
+
+    found, capped = set(), False
+    for r in targets:
+        hit = reachable(r)
+        capped = capped or hit is None
+        if hit is not False:
+            found.add(r)
+    return found, capped
 
 
 def candidate_relative_degrees(f: DirichletPoly, p: int):
     """Candidate relative degrees of a minimal factor per the polygon at p:
-    subset products of the segment profile intersected with the ratios
-    d/c <= sqrt(n/m).  Returns (candidates, profile, capped)."""
+    the ratios d/c <= sqrt(n/m) that are subset products of the segment
+    profile.  Returns (candidates, profile, capped); when capped, the
+    search budget ran out and undecided ratios are kept as candidates."""
     if not f.is_algebraically_primitive():
         raise ValueError("input must be algebraically primitive")
-    poly = build_polygon(f, p)
-    profile = poly.segment_profile()
-    prods = {Fraction(1)}
-    capped = False
-    for r in profile:
-        prods |= {x * r for x in prods}
-        if len(prods) > SUBSET_PRODUCT_CAP:
-            capped = True
-            break
-    m, n = f.deg_min, f.degree
-    sets = relative_degree_sets(m, n)
-    s1 = set(sets.s_rd_k)  # k = 1: ratios in (1, sqrt(n/m)]
-    cands = (s1 & prods) if not capped else s1
+    profile = build_polygon(f, p).segment_profile()
+    s1 = relative_degree_sets(f.deg_min, f.degree).s_rd_k  # k = 1: (1, sqrt(n/m)]
+    cands, capped = subset_product_targets(profile, s1)
     return cands, profile, capped
 
 
@@ -392,9 +444,11 @@ def multi_prime_test(f: DirichletPoly, primes: list[int]) -> CriterionReport:
                     primes=tuple(primes), deltas=tuple(deltas),
                 )
 
-    detail = "candidate intersection " + (
-        "not computed (profile too large)" if any_capped else f"nonempty: {sorted(inter)}")
-    return inconclusive("multi-prime", detail, candidates=sorted(inter), capped=any_capped)
+    inter = sorted(inter)
+    detail = f"candidate intersection nonempty: [{', '.join(map(str, inter))}]"
+    if any_capped:
+        detail += " (search budget ran out; undecided ratios kept)"
+    return inconclusive("multi-prime", detail, candidates=inter, capped=any_capped)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .core import DirichletPoly, is_prime
 from .degrees import quick_irreducibility
-from .oracle import brute_force_factor, FACTORED
+from .oracle import brute_force_factor, FACTORED, IRREDUCIBLE_CERTIFIED
 from .ranktests import common_factor_test
 from . import report
 from .report import CriterionReport, inconclusive
@@ -20,7 +20,8 @@ from .report import CriterionReport, inconclusive
 
 def irreducible_mod_p(F: DirichletPoly, p: int, oracle_cap: int = 10**6):
     """Decide irreducibility of F mod p: returns (bool | None, how).
-    None means the reduction is zero or constant (not meaningful)."""
+    None means undecided: the reduction is zero or constant (not
+    meaningful), or the oracle ran out of its node cap."""
     Fp = F.reduce_mod(p) if F.ring.kind == "Z" else F
     if Fp.is_zero() or Fp.is_constant():
         return None, "degenerate reduction"
@@ -36,7 +37,9 @@ def irreducible_mod_p(F: DirichletPoly, p: int, oracle_cap: int = 10**6):
     res = brute_force_factor(Fp, node_cap=oracle_cap)
     if res.status == FACTORED:
         return False, "oracle factorization mod p"
-    return True, "oracle exhaustion mod p"
+    if res.status == IRREDUCIBLE_CERTIFIED:
+        return True, "oracle exhaustion mod p"
+    return None, f"oracle node cap {oracle_cap} reached mod p"
 
 
 def coprime_mod_p(F: DirichletPoly, G: DirichletPoly, p: int):

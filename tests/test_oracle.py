@@ -4,6 +4,7 @@ from dpirred.core import DirichletPoly, GF, ZZ
 from dpirred.oracle import (
     FACTORED,
     IRREDUCIBLE_CERTIFIED,
+    NONE_WITHIN_BOUND,
     brute_force_factor,
     divide_exact,
     enumerate_segment_points_brute,
@@ -77,6 +78,13 @@ def test_divide_exact():
     h = DirichletPoly({2: 1, 7: -2})
     assert divide_exact(g * h, g) == h
     assert divide_exact(g * h, DirichletPoly({1: 1, 5: 1})) is None
+
+
+def test_fp_search_honours_node_cap():
+    f = DirichletPoly({1: 1, 2: 1, 6: 1}, GF(3))
+    assert brute_force_factor(f).status == IRREDUCIBLE_CERTIFIED
+    res = brute_force_factor(f, node_cap=1)
+    assert res.status == NONE_WITHIN_BOUND and res.nodes == 2
 
 
 def test_random_products_always_found():

@@ -1,0 +1,49 @@
+"""Pipeline-level differential test: every definitive irreducible or
+reducible report of analyze_univariate(run_all=True) agrees with the
+brute-force oracle on the polynomial the criteria ran on (the
+algebraically primitive part of the input).
+
+The oracle gets a node cap: clearing the denominators of a Q input can
+raise the factor height bound so far that one certificate takes seconds,
+and inputs it leaves undecided are counted, not checked."""
+
+import random
+from fractions import Fraction
+
+from dpirred import report
+from dpirred.analyze import analyze_univariate
+from dpirred.core import DirichletPoly, QQ
+from dpirred.oracle import (FACTORED, IRREDUCIBLE_CERTIFIED, NONE_WITHIN_BOUND,
+                            brute_force_factor)
+
+COEFFS = (1, -1, 2, -2, 3, 4, 6, 9, 12)
+
+
+def _random_input(rng):
+    indices = rng.sample(range(1, 17), rng.randint(2, 5))
+    if rng.random() < 0.5:
+        return DirichletPoly({i: rng.choice(COEFFS) for i in indices})
+    return DirichletPoly({i: Fraction(rng.choice(COEFFS), rng.choice((1, 2, 3, 5)))
+                          for i in indices}, QQ)
+
+
+def test_definitive_reports_agree_with_oracle():
+    rng = random.Random(53)
+    checked = undecided = 0
+    for _ in range(400):
+        f = _random_input(rng)
+        claims = {rep.verdict for rep in analyze_univariate(f, run_all=True).reports
+                  if rep.verdict in (report.IRREDUCIBLE, report.REDUCIBLE)
+                  and rep.rule != "algebraic-shift"}
+        if not claims:
+            continue
+        assert len(claims) == 1, (f.text(), claims)
+        work = f if f.is_algebraically_primitive() else f.normalize()[3]
+        status = brute_force_factor(work, node_cap=5000).status
+        if status == NONE_WITHIN_BOUND:
+            undecided += 1
+            continue
+        expected = FACTORED if report.REDUCIBLE in claims else IRREDUCIBLE_CERTIFIED
+        assert status == expected, (f.text(), claims, status)
+        checked += 1
+    assert checked > 200 and undecided < checked // 10

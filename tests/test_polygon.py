@@ -1,9 +1,14 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from dpirred.core import DirichletPoly
+from dpirred.analyze import analyze_univariate
+from dpirred.degrees import relative_degree_sets
+from dpirred.oracle import brute_force_factor, FACTORED, IRREDUCIBLE_CERTIFIED
+from dpirred import polygon
 from dpirred.polygon import (
     build_polygon,
     candidate_relative_degrees,
@@ -15,6 +20,7 @@ from dpirred.polygon import (
     merge_vector_systems,
     multi_prime_test,
     segment_point_count,
+    subset_product_targets,
     total_factor_bound,
     vector_system,
 )
@@ -121,6 +127,111 @@ def test_candidate_degrees_two_segment_profile():
         prod *= r
     assert prod == Fraction(15, 4)
     assert Fraction(3, 2) in cands
+
+
+def _subset_products(profile):
+    prods = {Fraction(1)}
+    for r in profile:
+        prods |= {x * r for x in prods}
+    return prods
+
+
+def _random_profile(rng):
+    """Up to 12 ratios, repeated sloped ratios and horizontal runs (x+1)/x,
+    multiplying out to n/m with n <= 64 in lowest terms."""
+    while True:
+        profile = []
+        size = rng.randint(1, 12)
+        while len(profile) < size:
+            if rng.random() < 0.5:
+                c = rng.randint(1, 6)
+                profile += [Fraction(rng.randint(c + 1, 12), c)] * rng.randint(1, 3)
+            else:
+                x = rng.randint(1, 20)
+                profile += [Fraction(y + 1, y) for y in range(x, x + rng.randint(1, 5))]
+        profile = profile[:size]
+        prod = Fraction(1)
+        for r in profile:
+            prod *= r
+        if prod.numerator <= 64:
+            return profile, prod
+
+
+def test_subset_product_search_matches_enumeration():
+    rng = random.Random(43)
+    hits = misses = 0
+    for _ in range(400):
+        profile, prod = _random_profile(rng)
+        # a polygon's profile multiplies out to n/m
+        m = prod.denominator * rng.randint(1, 3)
+        targets = relative_degree_sets(m, int(m * prod)).s_rd_k
+        exact = set(targets) & _subset_products(profile)
+        found, capped = subset_product_targets(profile, targets)
+        assert not capped
+        assert found == exact, (profile, targets)
+        hits += len(exact)
+        misses += len(targets) - len(exact)
+    assert hits > 100 and misses > 100
+    # 4 fails first and leaves failed states behind; a memo keyed on the
+    # quotient left after a node's loop, not the one it was entered with,
+    # would then lose 8 = 9/2 * (4/3)^2
+    profile = [Fraction(9, 2)] + [Fraction(4, 3)] * 3 + [Fraction(3, 2), Fraction(4, 3)]
+    assert subset_product_targets(profile, [Fraction(4), Fraction(8)]) == ({Fraction(8)}, False)
+
+
+def test_candidate_search_budget_keeps_undecided(monkeypatch):
+    exact, _, capped = candidate_relative_degrees(FIG1, 2)
+    assert not capped
+    monkeypatch.setattr(polygon, "CANDIDATE_NODE_BUDGET", 1)
+    cands, _, capped = candidate_relative_degrees(FIG1, 2)
+    assert capped
+    assert exact <= cands <= set(relative_degree_sets(4, 15).s_rd_k)
+    rep = multi_prime_test(FIG1, [2])
+    assert rep.certificate["capped"]
+    assert rep.detail == ("candidate intersection nonempty: [5/4, 3/2] "
+                          "(search budget ran out; undecided ratios kept)")
+
+
+def test_candidate_search_long_horizontal_edge():
+    # 1999 ratios (x+1)/x make the search deeper than the interpreter's
+    # recursion limit; every target b/1001 <= 3000/1001 telescopes
+    f = DirichletPoly({1001: 1, 3000: 1})
+    start = time.thread_time()
+    cands, profile, _ = candidate_relative_degrees(f, 2)
+    assert time.thread_time() - start < 0.5
+    assert len(profile) == 1999
+    assert cands == set(relative_degree_sets(1001, 3000).s_rd_k)
+
+
+# The four slow inputs of the ROADMAP baseline (5-38 s each with the old
+# subset-product enumeration) and a product that took 38 s.
+TAIL_INPUTS = [
+    "4/18^s - 1/37^s + 3/58^s",
+    "12/9^s + 1/17^s + 3/27^s + 2/29^s + 2/36^s",
+    "3/11^s + 12/17^s + 4/26^s + 12/29^s + 1/30^s + 1/32^s",
+    "6/2^s + 9/7^s + 1/28^s + 6/42^s - 2/51^s",
+    "-2/3^s - 2/5^s - 6/15^s - 2/18^s - 6/25^s - 2/30^s",
+]
+
+
+@pytest.mark.parametrize("text", TAIL_INPUTS)
+def test_tail_inputs_finish(text):
+    f = DirichletPoly.parse(text)
+    start = time.thread_time()
+    a = analyze_univariate(f)
+    assert time.thread_time() - start < 0.5
+    if text in (TAIL_INPUTS[0], TAIL_INPUTS[2]):
+        assert a.verdict == report.IRREDUCIBLE
+        assert a.reports[-1].rule == "segment-candidate-intersection"
+        assert brute_force_factor(f).status == IRREDUCIBLE_CERTIFIED
+
+
+def test_tail_product_never_irreducible():
+    f = DirichletPoly.parse(TAIL_INPUTS[-1])
+    for run_all in (False, True):
+        a = analyze_univariate(f, run_all=run_all)
+        assert all(r.verdict != report.IRREDUCIBLE for r in a.reports)
+    assert brute_force_factor(f).status == FACTORED
 
 
 def test_multi_prime_example_two_primes():

@@ -1,6 +1,9 @@
+import functools
+
 import pytest
 
 from dpirred.core import DirichletPoly
+from dpirred import schonemann
 from dpirred.schonemann import (
     coprime_mod_p,
     irreducible_mod_p,
@@ -20,6 +23,18 @@ def test_irreducible_mod_p_routes():
     assert ok is True  # oracle route over F_5
     H = DirichletPoly({1: 1, 4: 1})  # 1 + 1/4^s = (1+1/2^s)^2 mod 2
     assert irreducible_mod_p(H, 2)[0] is False
+
+
+def test_oracle_budget_is_not_irreducibility(monkeypatch):
+    # 1 + 1/2^s + 1/6^s is irreducible mod 3, but only the F_3 search says so
+    F = DirichletPoly({1: 1, 2: 1, 6: 1})
+    G = DirichletPoly({1: 1})
+    assert irreducible_mod_p(F, 3) == (True, "oracle exhaustion mod p")
+    assert irreducible_mod_p(F, 3, oracle_cap=1)[0] is None
+    assert schonemann_test(F, G, 1, 3, 1).verdict == report.IRREDUCIBLE
+    monkeypatch.setattr(schonemann, "irreducible_mod_p",
+                        functools.partial(irreducible_mod_p, oracle_cap=1))
+    assert schonemann_test(F, G, 1, 3, 1).verdict == report.INCONCLUSIVE
 
 
 def test_coprime_mod_p():
