@@ -1,9 +1,10 @@
 """`dpirred analyze --format json` on the README worked examples and the
-benchmark's CLI examples, compared byte for byte with a committed snapshot.
+benchmark's CLI examples, and `dpirred rank --format json` on one case of
+each matrix kind, compared byte for byte with committed snapshots.
 
-Regenerate the snapshot after an intended output change with
+Regenerate both snapshots after an intended output change with
     PYTHONPATH=src python tests/test_golden.py
-and review the diff of tests/golden/analyze.json.
+and review the diff of tests/golden/analyze.json and tests/golden/rank.json.
 """
 
 import contextlib
@@ -14,6 +15,10 @@ from pathlib import Path
 from dpirred.cli import main
 
 SNAPSHOT = Path(__file__).with_name("golden") / "analyze.json"
+RANK_SNAPSHOT = Path(__file__).with_name("golden") / "rank.json"
+
+F2_SQUARE = '{"ring":"Fp","p":2,"terms":[[1,1],[4,1]]}'
+F3_SQUARE = '{"ring":"Fp","p":3,"terms":[[1,1],[3,2],[9,1]]}'
 
 CASES = [
     # README
@@ -44,13 +49,26 @@ CASES = [
     ["1/5^s"],
     ["3/5^s"],
     ["1/6^s"],
+    # (1 + 1/3^s)^2 over F_3: the rank test's square witness
+    [F3_SQUARE, "--all"],
+]
+
+# `dpirred rank` arguments after the input: the F_p power-free systems, a
+# common-factor system over Z and a derivative system over Q(L_p)
+RANK_CASES = [
+    [F2_SQUARE, "--matrix", "A", "--p", "2", "--k", "2"],
+    [F2_SQUARE, "--matrix", "B", "--p", "2", "--k", "2"],
+    [F3_SQUARE, "--matrix", "A", "--p", "3", "--k", "2"],
+    [F3_SQUARE, "--matrix", "B", "--p", "3", "--k", "2"],
+    ["1 + 1/2^s - 1/3^s - 1/6^s", "--matrix", "R", "--g", "1 - 2/3^s"],
+    ["1 + 3/2^s + 1/4^s", "--matrix", "D"],
 ]
 
 
-def run(args):
+def run(args, command="analyze"):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main(["analyze", args[0], "--format", "json", *args[1:]])
+        code = main([command, args[0], "--format", "json", *args[1:]])
     return {"args": args, "exit": code, "stdout": out.getvalue()}
 
 
@@ -59,5 +77,12 @@ def test_analyze_json_matches_snapshot():
     assert [run(args) for args in CASES] == expected
 
 
+def test_rank_json_matches_snapshot():
+    expected = json.loads(RANK_SNAPSHOT.read_text())
+    assert [run(args, "rank") for args in RANK_CASES] == expected
+
+
 if __name__ == "__main__":
     SNAPSHOT.write_text(json.dumps([run(args) for args in CASES], indent=1) + "\n")
+    RANK_SNAPSHOT.write_text(
+        json.dumps([run(args, "rank") for args in RANK_CASES], indent=1) + "\n")

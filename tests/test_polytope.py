@@ -115,6 +115,20 @@ def test_cone_example_three_squares():
     assert rep.certificate["hyperplane"] == "planar-determinant"
 
 
+def test_cone_rational_normal_route():
+    # three coordinates: the hyperplane is searched through the per-prime
+    # exponent equations, whose rational nullspace gives the normal
+    rep = cone_indecomposable((1, 1, 1), [(2, 1, 1), (1, 2, 1)])
+    assert rep.verdict == report.ABSOLUTELY_IRREDUCIBLE
+    assert rep.certificate["hyperplane"] == "rational-normal"
+    # the exponent equations leave no normal that separates the apex
+    for apex, base in [((2, 3, 5), [(3, 5, 2), (5, 2, 3)]),
+                       ((12, 1), [(2, 1), (3, 1), (6, 1)])]:
+        rep = cone_indecomposable(apex, base)
+        assert rep.verdict == report.UNDECIDABLE
+        assert "no-rational-normal" in rep.detail
+
+
 def test_cone_segment_case_matches_segment_rule():
     rep = cone_indecomposable((2, 3), [(3, 2)])
     assert rep.verdict == report.ABSOLUTELY_IRREDUCIBLE
