@@ -254,7 +254,6 @@ def cmd_rank(args) -> int:
         build_d_matrix,
         common_factor_test,
         k_power_free_charp,
-        rank_fp,
     )
 
     f = _load_input(args.input)
@@ -265,7 +264,7 @@ def cmd_rank(args) -> int:
             "matrix": args.matrix,
             "rows": mat.rows,
             "cols": mat.cols,
-            "rank": rank_fp(mat),
+            "rank": mat.rank(),
             "entries": [[i, j, int(v)] for i, j, v in mat.to_triplets()],
             "criterion": _report_obj(rep),
         }

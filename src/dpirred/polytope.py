@@ -308,47 +308,21 @@ def _hyperplane_separates(v: ExponentPoint, q_vertices: list[ExponentPoint]):
             return "no", "collinear"
         return "unknown", "comparator-cap"
     # rational-normal route
+    from .ranktests import nullspace
+
     primes = _lift_basis([v] + list(q_vertices))
 
     def offsets(pt):
         # one row per prime: its exponent in pt minus in q_1, coordinate by coordinate
-        return [[Fraction(exponents(a).get(p, 0) - exponents(b).get(p, 0))
+        return [[exponents(a).get(p, 0) - exponents(b).get(p, 0)
                  for a, b in zip(pt, q_vertices[0])] for p in primes]
 
     rows = [row for q in q_vertices[1:] for row in offsets(q)]
     apex = offsets(v)
-    for c in _nullspace_q(rows, n):
+    for c in nullspace([dict(enumerate(row)) for row in rows], n):
         if any(sum(x * y for x, y in zip(c, row)) for row in apex):
             return "yes", "rational-normal"
     return "unknown", "no-rational-normal"
-
-
-def _nullspace_q(rows: list[list[Fraction]], n: int) -> list[list[Fraction]]:
-    mat = [row[:] for row in rows if any(row)]
-    pivots = []
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, len(mat)) if mat[i][c]), None)
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        mat[r] = [x / mat[r][c] for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-    basis = []
-    for free in range(n):
-        if free in pivots:
-            continue
-        vec = [Fraction(0)] * n
-        vec[free] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -mat[i][free]
-        basis.append(vec)
-    return basis
 
 
 def cone_indecomposable(

@@ -1,30 +1,105 @@
 """Matrix-rank criteria: k-power-freeness in prime characteristic, common
 factor detection, and derivative matrices over a symbolic-log ring.
 
-Ranks are exact: Gaussian elimination over F_p, fraction-free elimination
-over Q, and fraction-free elimination over the field of fractions of the
-polynomial ring Q[L_p : p prime] for derivative matrices, where L_p stands
-for log p and the entries are certlog.LogProduct values.  Full rank of a
-symbolic matrix certifies the real statement only if the logarithms of
-primes are algebraically independent, so those verdicts carry an assumption
-flag; a symbolic rank deficiency is a true identity and needs no assumption.
+Every system here is a convolution system: column j of a block holds the
+coefficients of a Dirichlet polynomial f moved to rows a*j, a in the support
+of f.  One helper fills all of them from the support, and one sparse
+fraction-free elimination decides every rank.  It takes the shortest
+remaining row, pivots on that row's lowest column and replaces each other
+row r by a*r - c*piv, reduced by the rule of its ring: mod p over F_p,
+divided by the row content over Z (rows over Q are cleared to integers
+first), zeros dropped over Q[L_p : p prime].  Lowest-column pivots are the
+reduced-row-echelon pivots, so over a field back-substitution from the pivot
+rows gives the canonical nullspace basis.
+
+The derivative entries live in Q[L_p], L_p standing for log p, as
+certlog.LogProduct values.  Full rank of a symbolic matrix certifies the real
+statement only if the logarithms of primes are algebraically independent, so
+those verdicts carry an assumption flag; a symbolic rank deficiency is a true
+identity and needs no assumption.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .certlog import LogProduct
-from .core import DirichletPoly, exponents, gcd_list
+from .core import DirichletPoly, exponents, is_prime
 from .degrees import max_multiplicity
 from . import report
 from .report import LOG_INDEPENDENCE, CriterionReport, inconclusive
 
 
 # ---------------------------------------------------------------------------
-# sparse matrices
+# the elimination kernel
+
+
+def mod_p(p: int):
+    """Row reduction over F_p: entries mod p, zeros dropped."""
+    return lambda row: {j: x for j, v in row.items() if (x := v % p)}
+
+
+def content(row: dict) -> dict:
+    """Row reduction over Z and Q: zeros dropped, denominators cleared, then
+    divided by the content of the integer row."""
+    den = lcm(*(v.denominator for v in row.values()))
+    row = {j: int(v * den) for j, v in row.items() if v}
+    g = gcd(*row.values())
+    return {j: v // g for j, v in row.items()} if g > 1 else row
+
+
+def nonzero(row: dict) -> dict:
+    """Row reduction over Q[L_p]: zeros dropped."""
+    return {j: v for j, v in row.items() if v}
+
+
+def eliminate(rows, reduce) -> list[dict]:
+    """Sparse fraction-free forward elimination of the row dicts (column ->
+    entry) over an integral domain; returns the pivot rows in pivot order.
+    Each pivot row is zero at the lowest columns of the pivot rows before it."""
+    rows = [r for r in map(reduce, rows) if r]
+    pivots = []
+    while rows:
+        rows.sort(key=len)
+        piv = rows.pop(0)
+        pivots.append(piv)
+        j0 = min(piv)
+        a = piv[j0]
+        out = []
+        for r in rows:
+            c = r.get(j0)
+            if c:
+                new = dict(r) if a == 1 else {j: a * v for j, v in r.items()}
+                for j, w in piv.items():
+                    new[j] = new[j] - c * w if j in new else -(c * w)
+                r = reduce(new)
+                if not r:
+                    continue
+            out.append(r)
+        rows = out
+    return pivots
+
+
+def rank(rows, reduce) -> int:
+    return len(eliminate(rows, reduce))
+
+
+def nullspace(rows, cols: int, p: int | None = None) -> list[list]:
+    """Basis of the right nullspace over F_p, or over Q when p is None: one
+    vector per free column, 1 there and 0 at the other free columns."""
+    pivots = eliminate(rows, mod_p(p) if p else content)
+    lead = [min(r) for r in pivots]
+    basis = []
+    for free in sorted(set(range(cols)) - set(lead)):
+        x = {free: 1}
+        for r, j0 in zip(reversed(pivots), reversed(lead)):
+            s = -sum(v * x.get(j, 0) for j, v in r.items() if j != j0)
+            x[j0] = s * pow(r[j0], -1, p) % p if p else Fraction(s, r[j0])
+        basis.append([x.get(j, 0) for j in range(cols)])
+    return basis
 
 
 @dataclass
@@ -32,8 +107,7 @@ class SparseMatrix:
     rows: int
     cols: int
     entries: dict = field(default_factory=dict)  # (i, j) -> value, no zeros
-    ring: str = "Q"  # "Q" | "Fp" | "symlog"
-    p: int | None = None
+    p: int | None = None  # entries in F_p, or in Z or Q when None
 
     def set(self, i, j, v):
         if not (0 <= i < self.rows and 0 <= j < self.cols):
@@ -52,130 +126,24 @@ class SparseMatrix:
     def to_triplets(self):
         return sorted((i, j, v) for (i, j), v in self.entries.items())
 
-
-def rank_fp(mat: SparseMatrix) -> int:
-    """Sparse Gaussian elimination over F_p with a cheapest-pivot choice."""
-    p = mat.p
-    rows = [r for r in mat.row_lists() if r]
-    rank = 0
-    while rows:
-        # pivot on the shortest row (Markowitz-flavored)
-        rows.sort(key=len)
-        piv = rows.pop(0)
-        rank += 1
-        j0, a = next(iter(piv.items()))
-        inv = pow(a, -1, p)
-        piv = {j: v * inv % p for j, v in piv.items()}
-        out = []
-        for r in rows:
-            c = r.get(j0)
-            if c:
-                r = {j: (r.get(j, 0) - c * piv.get(j, 0)) % p
-                     for j in set(r) | set(piv)}
-                r = {j: v for j, v in r.items() if v}
-            if r:
-                out.append(r)
-        rows = out
-    return rank
+    def rank(self) -> int:
+        return rank(self.row_lists(), mod_p(self.p) if self.p else content)
 
 
-def rank_q(mat: SparseMatrix) -> int:
-    """Fraction-free (two-step Bareiss style) elimination over Q: rows are
-    cleared to integers first, then eliminated with exact cross products."""
-    rows = []
-    for r in mat.row_lists():
-        if not r:
-            continue
-        den = lcm(*(Fraction(v).denominator for v in r.values()))
-        ints = {j: int(Fraction(v) * den) for j, v in r.items()}
-        g = gcd_list(ints.values())
-        rows.append({j: v // g for j, v in ints.items()})
-    rank = 0
-    while rows:
-        rows.sort(key=len)
-        piv = rows.pop(0)
-        rank += 1
-        j0 = min(piv)
-        a = piv[j0]
-        out = []
-        for r in rows:
-            c = r.get(j0)
-            if c is not None:
-                r = {j: a * r.get(j, 0) - c * piv.get(j, 0) for j in set(r) | set(piv)}
-                r = {j: v for j, v in r.items() if v}
-                if r:
-                    g = gcd_list(r.values())
-                    r = {j: v // g for j, v in r.items()}
-            if r:
-                out.append(r)
-        rows = out
-    return rank
-
-
-def nullspace_fp(mat: SparseMatrix) -> list[list[int]]:
-    """Basis of the right nullspace over F_p (dense, small matrices)."""
-    p = mat.p
-    dense = [[0] * mat.cols for _ in range(mat.rows)]
-    for (i, j), v in mat.entries.items():
-        dense[i][j] = v % p
-    pivots = []
-    r = 0
-    for c in range(mat.cols):
-        pr = next((i for i in range(r, mat.rows) if dense[i][c]), None)
-        if pr is None:
-            continue
-        dense[r], dense[pr] = dense[pr], dense[r]
-        inv = pow(dense[r][c], -1, p)
-        dense[r] = [x * inv % p for x in dense[r]]
-        for i in range(mat.rows):
-            if i != r and dense[i][c]:
-                f = dense[i][c]
-                dense[i] = [(x - f * y) % p for x, y in zip(dense[i], dense[r])]
-        pivots.append(c)
-        r += 1
-        if r == mat.rows:
-            break
-    free = [c for c in range(mat.cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [0] * mat.cols
-        vec[fc] = 1
-        for i, pc in enumerate(pivots):
-            vec[pc] = (-dense[i][fc]) % p
-        basis.append(vec)
-    return basis
-
-
-def rank_symbolic(rows_in: list[dict[int, LogProduct]]) -> int:
-    """Fraction-free elimination over the fraction field of Q[L_p]."""
-    rows = [dict(r) for r in rows_in if r]
-    rank = 0
-    while rows:
-        rows.sort(key=lambda r: (len(r), min(r)))
-        piv = rows.pop(0)
-        rank += 1
-        j0 = min(piv)
-        a = piv[j0]
-        out = []
-        for r in rows:
-            c = r.get(j0)
-            if c is not None:
-                r = {
-                    j: a * r.get(j, LogProduct()) - c * piv.get(j, LogProduct())
-                    for j in set(r) | set(piv)
-                }
-                r = {j: v for j, v in r.items() if v}
-            if r:
-                out.append(r)
-        rows = out
-    return rank
+def _convolution(terms: dict, cols: int):
+    """(row a*j, column j, support index a) for the block of f*u with u
+    running over columns 1..cols; rows and columns are 1-based."""
+    for j in range(1, cols + 1):
+        for a in terms:
+            yield a * j, j, a
 
 
 # ---------------------------------------------------------------------------
 # the power-freeness matrices in prime characteristic
 
 
-def _check_b_matrix_inputs(f: DirichletPoly, p: int, k: int):
+def _power_free_dims(f: DirichletPoly, p: int, k: int):
+    """(char, deg g = n/p^(k-1), cofactor columns t) of the systems at p."""
     if f.ring.kind != "Fp":
         raise ValueError("needs coefficients in a prime field")
     char = f.ring.p
@@ -184,6 +152,7 @@ def _check_b_matrix_inputs(f: DirichletPoly, p: int, k: int):
     n = f.degree
     if n % p**k:
         raise ValueError(f"{p}^{k} must divide deg f = {n}")
+    return char, n // p ** (k - 1), n ** (char - 1) // p ** ((k - 1) * char)
 
 
 def build_b_matrix(f: DirichletPoly, p: int, k: int) -> SparseMatrix:
@@ -193,46 +162,27 @@ def build_b_matrix(f: DirichletPoly, p: int, k: int) -> SparseMatrix:
 
     Dimensions ((n/p^(k-1))^char - n/p^(k-1)) x n^(char-1) / p^((k-1)*char).
     """
-    _check_b_matrix_inputs(f, p, k)
-    char = f.ring.p
-    n = f.degree
-    gdeg = n // p ** (k - 1)
-    t = n ** (char - 1) // p ** ((k - 1) * char)
-    rows = gdeg**char - gdeg
-    mat = SparseMatrix(rows, t, ring="Fp", p=char)
+    char, gdeg, t = _power_free_dims(f, p, k)
+    mat = SparseMatrix(gdeg**char - gdeg, t, p=char)
     coeffs = f.terms
-    # row i sits in the block S_delta, and corresponds to the convolution
-    # equation at original index i + delta (the delta-th power rows removed)
-    delta = 1
-    for i in range(1, rows + 1):
-        while i > (delta + 1) ** char - (delta + 1):
-            delta += 1
-        orig = i + delta
-        for j in range(1, t + 1):
-            if orig % j == 0:
-                a = coeffs.get(orig // j, 0)
-                if a:
-                    mat.set(i - 1, j - 1, a)
+    # the power rows d^char are removed: equation orig sits at row
+    # orig - #{d : d^char <= orig} (1-based)
+    powers = [d**char for d in range(1, gdeg + 1)]
+    for orig, j, a in _convolution(coeffs, t):
+        below = bisect_right(powers, orig)
+        if powers[below - 1] != orig:
+            mat.set(orig - below - 1, j - 1, coeffs[a])
     return mat
 
 
 def build_a_matrix(f: DirichletPoly, p: int, k: int) -> SparseMatrix:
     """The unreduced system: t cofactor columns then n/p^(k-1) columns of
     -1 entries at power rows."""
-    _check_b_matrix_inputs(f, p, k)
-    char = f.ring.p
-    n = f.degree
-    gdeg = n // p ** (k - 1)
-    t = n ** (char - 1) // p ** ((k - 1) * char)
-    rows = gdeg**char
-    mat = SparseMatrix(rows, t + gdeg, ring="Fp", p=char)
+    char, gdeg, t = _power_free_dims(f, p, k)
+    mat = SparseMatrix(gdeg**char, t + gdeg, p=char)
     coeffs = f.terms
-    for i in range(1, rows + 1):
-        for j in range(1, t + 1):
-            if i % j == 0:
-                a = coeffs.get(i // j, 0)
-                if a:
-                    mat.set(i - 1, j - 1, a)
+    for i, j, a in _convolution(coeffs, t):
+        mat.set(i - 1, j - 1, coeffs[a])
     for d in range(1, gdeg + 1):
         mat.set(d**char - 1, t + d - 1, char - 1)  # -1 mod char
     return mat
@@ -262,7 +212,7 @@ def forced_zero_row_indices(f_degree: int, p: int, k: int, char: int) -> list[in
     t = n ** (char - 1) // p ** ((k - 1) * char)
     lo = max(t, n)
     hi = gdeg**char
-    primes = [q for q in range(2, t + 1) if all(q % r for r in range(2, q))]
+    primes = [q for q in range(2, t + 1) if is_prime(q)]
     powers = {d**char for d in range(1, gdeg + 1)}
     out = []
     for i in range(lo + 1, hi + 1):
@@ -302,11 +252,11 @@ def k_power_free_charp(f: DirichletPoly, k: int) -> CriterionReport:
     ranks = {}
     for p in qualifying:
         mat = build_b_matrix(f, p, k)
-        r = rank_fp(mat)
+        r = mat.rank()
         ranks[p] = (r, mat.cols)
         if r < mat.cols:
             if k == 2:
-                witness = _square_witness(f, p, mat)
+                witness = _square_witness(f, p)
                 if witness is not None:
                     g, h = witness
                     return CriterionReport(
@@ -328,15 +278,13 @@ def k_power_free_charp(f: DirichletPoly, k: int) -> CriterionReport:
     )
 
 
-def _square_witness(f: DirichletPoly, p: int, mat: SparseMatrix):
+def _square_witness(f: DirichletPoly, p: int):
     """Turn a nullspace vector of the unreduced system into (g, h) with
     f * h = g^char; over the prime field the Frobenius is the identity, so
     the c^char unknowns are the coefficients of g themselves."""
-    char = f.ring.p
-    gdeg = f.degree // p
-    t = mat.cols
-    basis = nullspace_fp(build_a_matrix(f, p, 2))
-    for vec in basis:
+    char, gdeg, t = _power_free_dims(f, p, 2)
+    a = build_a_matrix(f, p, 2)
+    for vec in nullspace(a.row_lists(), a.cols, char):
         h = DirichletPoly({i + 1: vec[i] for i in range(t) if vec[i]}, f.ring)
         g = DirichletPoly(
             {i + 1: vec[t + i] for i in range(gdeg) if vec[t + i]}, f.ring)
@@ -365,21 +313,12 @@ def build_r_matrix(f: DirichletPoly, g: DirichletPoly, d: int) -> SparseMatrix:
     rows = m * n // d
     ucols = n // d
     vcols = m // d
-    ring = "Fp" if f.ring.kind == "Fp" else "Q"
-    p = f.ring.p if f.ring.kind == "Fp" else None
-    mat = SparseMatrix(rows, ucols + vcols, ring=ring, p=p)
+    mat = SparseMatrix(rows, ucols + vcols, p=f.ring.p)
     fa, gb = f.terms, g.terms
-    for i in range(1, rows + 1):
-        for j in range(1, ucols + 1):
-            if i % j == 0:
-                a = fa.get(i // j, 0)
-                if a:
-                    mat.set(i - 1, j - 1, a)
-        for j in range(1, vcols + 1):
-            if i % j == 0:
-                b = gb.get(i // j, 0)
-                if b:
-                    mat.set(i - 1, ucols + j - 1, b)
+    for i, j, a in _convolution(fa, ucols):
+        mat.set(i - 1, j - 1, fa[a])
+    for i, j, b in _convolution(gb, vcols):
+        mat.set(i - 1, ucols + j - 1, gb[b])
     return mat
 
 
@@ -398,7 +337,7 @@ def common_factor_test(f: DirichletPoly, g: DirichletPoly, d: int = 1) -> Criter
     if f.ring != g.ring:
         raise ValueError("ring mismatch")
     mat = build_r_matrix(f, g, d)
-    r = rank_fp(mat) if f.ring.kind == "Fp" else rank_q(mat)
+    r = mat.rank()
     full = mat.cols
     if d == 1:
         k = full - r
@@ -439,27 +378,16 @@ def build_d_matrix(f: DirichletPoly, k: int = 1, d: int = 1) -> list[dict[int, L
     if f.deg_min != 1:
         raise ValueError("derivative matrices assume a nonzero constant term")
     cols = m // d
-    rows_n = m * m // d
     fa = f.terms
-    rows: list[dict[int, LogProduct]] = []
     sign = Fraction(-1) ** k
-    for i in range(1, rows_n + 1):
-        row: dict[int, LogProduct] = {}
-        for j in range(1, cols + 1):
-            if i % j == 0:
-                a = fa.get(i // j)
-                if a:
-                    row[j - 1] = LogProduct.constant(a)
-        for j in range(1, cols + 1):
-            if i % j == 0:
-                a = fa.get(i // j)
-                if a:
-                    val = LogProduct.log_of(i // j).pow(k) * (sign * Fraction(a))
-                    if val:
-                        row[cols + j - 1] = val
-        if row:
-            rows.append(row)
-    return rows
+    deriv = {a: LogProduct.log_of(a).pow(k) * (sign * Fraction(c)) for a, c in fa.items()}
+    rows: dict[int, dict[int, LogProduct]] = {}
+    for i, j, a in _convolution(fa, cols):
+        row = rows.setdefault(i, {})
+        row[j - 1] = LogProduct.constant(fa[a])
+        if deriv[a]:
+            row[cols + j - 1] = deriv[a]
+    return [rows[i] for i in sorted(rows)]
 
 
 def derivative_rank_test(f: DirichletPoly, k: int = 1, d: int = 1) -> CriterionReport:
@@ -477,7 +405,7 @@ def derivative_rank_test(f: DirichletPoly, k: int = 1, d: int = 1) -> CriterionR
         raise ValueError("input must be algebraically primitive")
     m = f.degree
     rows = build_d_matrix(f, k, d)
-    r = rank_symbolic(rows)
+    r = rank(rows, nonzero)
     # the pair (f^(k), -f) always spans one kernel dimension at d = 1, so
     # the decisive rank there is 2m - 1 and 2m - rank recovers deg gcd
     full = 2 * m // d - (1 if d == 1 else 0)

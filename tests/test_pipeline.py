@@ -1,5 +1,6 @@
 """Pipeline-level differential test: every definitive irreducible or
-reducible report of analyze_univariate(run_all=True) agrees with the
+reducible report of analyze_univariate(run_all=True) over Z and Q, and every
+square-free or not-square-free report over F_2 and F_3, agrees with the
 brute-force oracle on the polynomial the criteria ran on (the
 algebraically primitive part of the input).
 
@@ -12,9 +13,9 @@ from fractions import Fraction
 
 from dpirred import report
 from dpirred.analyze import analyze_univariate
-from dpirred.core import DirichletPoly, QQ
+from dpirred.core import GF, DirichletPoly, QQ
 from dpirred.oracle import (FACTORED, IRREDUCIBLE_CERTIFIED, NONE_WITHIN_BOUND,
-                            brute_force_factor)
+                            brute_force_factor, max_factor_multiplicity)
 
 COEFFS = (1, -1, 2, -2, 3, 4, 6, 9, 12)
 
@@ -38,8 +39,7 @@ def test_definitive_reports_agree_with_oracle():
         if not claims:
             continue
         assert len(claims) == 1, (f.text(), claims)
-        work = f if f.is_algebraically_primitive() else f.normalize()[3]
-        status = brute_force_factor(work, node_cap=5000).status
+        status = brute_force_factor(_primitive(f), node_cap=5000).status
         if status == NONE_WITHIN_BOUND:
             undecided += 1
             continue
@@ -47,3 +47,30 @@ def test_definitive_reports_agree_with_oracle():
         assert status == expected, (f.text(), claims, status)
         checked += 1
     assert checked > 200 and undecided < checked // 10
+
+
+def _primitive(f):
+    return f if f.is_algebraically_primitive() else f.normalize()[3]
+
+
+def _random_fp_input(rng):
+    """About a third are squares g*g of 2-3-term factors with indices <= 5."""
+    p = rng.choice((2, 3))
+    square = rng.random() < 1 / 3
+    indices = rng.sample(range(1, 6), rng.randint(2, 3)) if square else \
+        rng.sample(range(1, 17), rng.randint(2, 5))
+    f = DirichletPoly({i: rng.randrange(1, p) for i in indices}, GF(p))
+    return f * f if square else f
+
+
+def test_square_free_reports_agree_with_oracle_fp():
+    rng = random.Random(59)
+    checked = 0
+    for _ in range(300):
+        f = _random_fp_input(rng)
+        for rep in analyze_univariate(f, run_all=True).reports:
+            if rep.verdict in (report.SQUARE_FREE, report.NOT_SQUARE_FREE):
+                square_free = max_factor_multiplicity(_primitive(f)) <= 1
+                assert (rep.verdict == report.SQUARE_FREE) == square_free, (f.text(), rep.rule)
+                checked += 1
+    assert checked > 100

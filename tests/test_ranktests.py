@@ -1,5 +1,7 @@
 import itertools
 import random
+from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -10,14 +12,18 @@ from dpirred.ranktests import (
     SparseMatrix,
     build_a_matrix,
     build_b_matrix,
+    build_d_matrix,
     build_r_matrix,
     common_factor_test,
+    content,
     derivative_rank_test,
     forced_zero_row_indices,
     k_power_free_charp,
     mobius_coprime_count,
-    rank_fp,
-    rank_q,
+    mod_p,
+    nonzero,
+    nullspace,
+    rank,
 )
 from dpirred import report
 
@@ -45,7 +51,7 @@ def test_b_matrix_hand_case():
     assert mat.entries == {(0, 0): 1, (1, 0): 1}
     zero = build_b_matrix(DirichletPoly({4: 1}, GF(2)), 2, 2)
     assert zero.entries == {}
-    assert rank_fp(zero) == 0
+    assert zero.rank() == 0
 
 
 def test_b_matrix_dimension_identity():
@@ -92,14 +98,14 @@ def test_three_power_free_soundness_f3_deg8():
 def test_forced_zero_rows_do_not_change_rank():
     for f in all_fp_polys(2, 8)[:40]:
         mat = build_a_matrix(f, 2, 2)
-        base = rank_fp(mat)
-        dropped = SparseMatrix(mat.rows, mat.cols, ring="Fp", p=mat.p)
+        base = mat.rank()
+        dropped = SparseMatrix(mat.rows, mat.cols, p=mat.p)
         forced = set(forced_zero_row_indices(8, 2, 2, 2))
         for (i, j), v in mat.entries.items():
             if i + 1 in forced:
                 assert False, "forced zero row carries an entry"
             dropped.set(i, j, v)
-        assert rank_fp(dropped) == base
+        assert dropped.rank() == base
 
 
 def test_mobius_count():
@@ -205,3 +211,157 @@ def _rand(rng, max_index=8):
             terms[rng.randint(1, max_index)] = c
     f = DirichletPoly(terms)
     return f if not f.is_zero() else DirichletPoly({1: 1, 2: 1})
+
+
+# ---------------------------------------------------------------------------
+# the elimination kernel
+
+
+def _random_rows(rng, field):
+    """Seeded sparse rows of up to 8 x 8, with zero and repeated rows; entries
+    mod p over F_p, small fractions over Q (field None)."""
+    n_rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+    rows = []
+    for _ in range(n_rows):
+        roll = rng.random()
+        if roll < 0.15:
+            rows.append({})
+        elif roll < 0.3 and rows:
+            rows.append(dict(rng.choice(rows)))
+        else:
+            row = {}
+            for j in rng.sample(range(cols), rng.randint(1, cols)):
+                if field:
+                    row[j] = rng.randrange(field)
+                else:
+                    row[j] = Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3)))
+            rows.append(row)
+    return rows, cols
+
+
+@pytest.mark.parametrize("field", [2, 3, 5, None])
+def test_kernel_rank_nullity_and_canonical_basis(field):
+    rng = random.Random(71 if field is None else 71 + field)
+    reduce = mod_p(field) if field else content
+    for _ in range(300):
+        rows, cols = _random_rows(rng, field)
+        r = rank(rows, reduce)
+        basis = nullspace(rows, cols, field)
+        assert r + len(basis) == cols
+        for vec in basis:
+            for row in rows:
+                dot = sum(v * vec[j] for j, v in row.items())
+                assert (dot % field if field else dot) == 0, (rows, vec)
+        # free columns: those that do not raise the rank of the columns before
+        free = [j for j in range(cols)
+                if rank([{c: v for c, v in row.items() if c <= j} for row in rows], reduce)
+                == rank([{c: v for c, v in row.items() if c < j} for row in rows], reduce)]
+        assert len(free) == len(basis)
+        for f, vec in zip(free, basis):
+            assert [vec[j] for j in free] == [int(j == f) for j in free]
+
+
+def test_kernel_constant_log_rows_match_q():
+    rng = random.Random(73)
+    for _ in range(300):
+        rows, _ = _random_rows(rng, None)
+        logs = [{j: LogProduct.constant(v) for j, v in row.items()} for row in rows]
+        assert rank(logs, nonzero) == rank(rows, content)
+
+
+# ---------------------------------------------------------------------------
+# the builders against the divisor scan they replace
+
+
+def _scan(i, cols, terms):
+    """(column j, a_(i/j)) for row i of a convolution block, by divisor scan."""
+    return [(j, terms[i // j]) for j in range(1, cols + 1) if i % j == 0 and terms.get(i // j)]
+
+
+def _scan_a(f, p, k):
+    char, n = f.ring.p, f.degree
+    gdeg = n // p ** (k - 1)
+    t = n ** (char - 1) // p ** ((k - 1) * char)
+    mat = SparseMatrix(gdeg**char, t + gdeg, p=char)
+    for i in range(1, gdeg**char + 1):
+        for j, a in _scan(i, t, f.terms):
+            mat.set(i - 1, j - 1, a)
+    for d in range(1, gdeg + 1):
+        mat.set(d**char - 1, t + d - 1, char - 1)
+    return mat
+
+
+def _scan_b(f, p, k):
+    char, n = f.ring.p, f.degree
+    gdeg = n // p ** (k - 1)
+    t = n ** (char - 1) // p ** ((k - 1) * char)
+    rows = gdeg**char - gdeg
+    mat = SparseMatrix(rows, t, p=char)
+    delta = 1
+    for i in range(1, rows + 1):
+        while i > (delta + 1) ** char - (delta + 1):
+            delta += 1
+        for j, a in _scan(i + delta, t, f.terms):
+            mat.set(i - 1, j - 1, a)
+    return mat
+
+
+def _scan_r(f, g, d):
+    m, n = f.degree, g.degree
+    ucols, vcols = n // d, m // d
+    mat = SparseMatrix(m * n // d, ucols + vcols, p=f.ring.p)
+    for i in range(1, m * n // d + 1):
+        for j, a in _scan(i, ucols, f.terms):
+            mat.set(i - 1, j - 1, a)
+        for j, b in _scan(i, vcols, g.terms):
+            mat.set(i - 1, ucols + j - 1, b)
+    return mat
+
+
+def _scan_d(f, k, d):
+    cols = f.degree // d
+    rows = []
+    for i in range(1, f.degree * f.degree // d + 1):
+        row = {j - 1: LogProduct.constant(a) for j, a in _scan(i, cols, f.terms)}
+        for j, a in _scan(i, cols, f.terms):
+            val = LogProduct.log_of(i // j).pow(k) * (Fraction(-1) ** k * Fraction(a))
+            if val:
+                row[cols + j - 1] = val
+        if row:
+            rows.append(row)
+    return rows
+
+
+def _same(mat, ref):
+    return (mat.rows, mat.cols, mat.p, mat.entries) == (ref.rows, ref.cols, ref.p, ref.entries)
+
+
+def test_power_free_builders_match_divisor_scan():
+    rng = random.Random(79)
+    for char, n, p, k in [(2, 4, 2, 2), (2, 8, 2, 2), (2, 9, 3, 2), (2, 12, 2, 2),
+                          (3, 4, 2, 2), (3, 8, 2, 2), (3, 8, 2, 3), (3, 9, 3, 2),
+                          (3, 12, 2, 2)]:
+        polys = all_fp_polys(char, n) if char ** n <= 600 else [
+            DirichletPoly({n: rng.randrange(1, char),
+                           **{i: rng.randrange(char) for i in rng.sample(range(1, n), 3)}},
+                          GF(char)) for _ in range(40)]
+        for f in polys:
+            assert _same(build_a_matrix(f, p, k), _scan_a(f, p, k)), f.text()
+            assert _same(build_b_matrix(f, p, k), _scan_b(f, p, k)), f.text()
+
+
+def test_common_factor_and_derivative_builders_match_divisor_scan():
+    rng = random.Random(83)
+    for _ in range(150):
+        f, g = _rand(rng), _rand(rng)
+        if rng.random() < 0.4:
+            p = rng.choice((2, 3))
+            f, g = (DirichletPoly(h.terms, GF(p)) for h in (f, g))
+        if f.is_zero() or g.is_zero() or f.is_constant() or g.is_constant():
+            continue
+        for d in {1, gcd(f.degree, g.degree)}:
+            assert _same(build_r_matrix(f, g, d), _scan_r(f, g, d)), (f.text(), g.text(), d)
+        if f.ring == ZZ and f.deg_min == 1:
+            for k in (1, 2):
+                for d in (1, f.degree):
+                    assert build_d_matrix(f, k, d) == _scan_d(f, k, d), (f.text(), k, d)
