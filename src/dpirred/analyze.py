@@ -141,9 +141,9 @@ def analyze_univariate(
 
 
 def _oracle_report(f: DirichletPoly) -> CriterionReport:
-    from .oracle import brute_force_factor, FACTORED, IRREDUCIBLE_CERTIFIED
+    from .oracle import NODE_CAP_CLI, brute_force_factor, FACTORED, IRREDUCIBLE_CERTIFIED
 
-    res = brute_force_factor(f)
+    res = brute_force_factor(f, node_cap=NODE_CAP_CLI)
     if res.status == FACTORED:
         g, h = res.factors
         return CriterionReport(
@@ -157,6 +157,10 @@ def _oracle_report(f: DirichletPoly) -> CriterionReport:
             "exhaustive search certifies irreducibility",
             certificate={"bound": res.bound, "nodes": res.nodes},
         )
+    if res.nodes > NODE_CAP_CLI:
+        return inconclusive(
+            "oracle", f"search stopped at the node budget of {NODE_CAP_CLI} (bound {res.bound})",
+            nodes=res.nodes, node_budget=NODE_CAP_CLI)
     return inconclusive("oracle", f"search exhausted budget (bound {res.bound})")
 
 

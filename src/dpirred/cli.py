@@ -344,11 +344,12 @@ def cmd_schonemann(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    from .oracle import brute_force_factor, enumerate_segment_points_brute, gcd_bounded
+    from .oracle import (NODE_CAP_CLI, brute_force_factor, enumerate_segment_points_brute,
+                         gcd_bounded)
 
     if args.action == "factor":
         f = _load_input(args.input)
-        res = brute_force_factor(f)
+        res = brute_force_factor(f, node_cap=NODE_CAP_CLI)
         obj = {"status": res.status, "bound": res.bound, "nodes": res.nodes}
         if res.factors:
             obj["factors"] = [res.factors[0].text(), res.factors[1].text()]

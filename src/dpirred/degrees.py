@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from types import MappingProxyType
 
 from .core import DirichletPoly, divisors, exponents, smallest_prime_factor
 from . import report
@@ -28,7 +30,7 @@ class RelativeDegreeSets:
     s_rd_k: tuple[Fraction, ...]      # 1 < d/c <= (n/m)^(1/(k+1))
     rho: Fraction                     # largest d/c <= sqrt(n/m)
     delta: Fraction | None            # smallest d/c with d > c
-    witnesses: dict                   # ratio -> (c, d) sample witness
+    witnesses: MappingProxyType       # ratio -> (c, d) sample witness, read-only
 
 
 def _ratio_table(m: int, n: int) -> dict[Fraction, tuple[int, int]]:
@@ -41,9 +43,10 @@ def _ratio_table(m: int, n: int) -> dict[Fraction, tuple[int, int]]:
     return out
 
 
+@lru_cache(maxsize=4096)
 def relative_degree_sets(m: int, n: int, k: int = 1) -> RelativeDegreeSets:
     """S_rd, S^k_rd, the rational square root rho and rational floor delta
-    of a pair 1 <= m < n."""
+    of a pair 1 <= m < n.  Cached: the result is shared and immutable."""
     if not (1 <= m < n):
         raise ValueError(f"need 1 <= m < n, got ({m}, {n})")
     if k < 1:
@@ -58,7 +61,8 @@ def relative_degree_sets(m: int, n: int, k: int = 1) -> RelativeDegreeSets:
     above_one = [r for r in table if r > 1]
     delta = min(above_one) if above_one else None
     wit = {r: table[r] for r in set(s_rd) | set(s_rd_k) | {rho} | ({delta} if delta else set())}
-    return RelativeDegreeSets(m, n, k, tuple(s_rd), tuple(s_rd_k), rho, delta, wit)
+    return RelativeDegreeSets(m, n, k, tuple(s_rd), tuple(s_rd_k), rho, delta,
+                              MappingProxyType(wit))
 
 
 def min_factor_count_bound(m: int, n: int) -> int:

@@ -9,17 +9,21 @@ coefficient of g is handled symbolically (division with a linear parameter,
 then rational root extraction), so shapes with at most one interior index
 are decided exactly with no coefficient box at all.  Wider shapes fall back
 to a bounded search over the factor height bound, which is itself a
-complete bound, so an exhausted search is still a certificate.
+complete bound, so an exhausted search is still a certificate.  The Z
+search is integer-only: pseudo-division in Z[x] and primitive
+pseudo-remainder gcds, with no fractions.
 
 Over F_p the candidate factors are enumerated outright, which is a complete
-decision unless the node cap stops it first.
+decision unless the node cap stops it first.  Both searches stop past
+`node_cap` nodes and then report NONE_WITHIN_BOUND; the library default
+never binds in practice, while the CLI passes the smaller NODE_CAP_CLI.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd
 
 from .core import (ZZ, DirichletPoly, UnfactoredResidueError, divisors, exponents,
                    gcd_list, max_exponents, smallest_prime_factor)
@@ -30,6 +34,9 @@ IRREDUCIBLE_CERTIFIED = "irreducible-certified"
 NONE_WITHIN_BOUND = "none-within-bound"
 
 NODE_CAP_DEFAULT = 10**8
+# node budget of the CLI oracle (`oracle factor` and `analyze --oracle`):
+# it binds within a few seconds, where the default cap never binds in time
+NODE_CAP_CLI = 100_000
 
 
 @dataclass
@@ -49,7 +56,7 @@ class OracleResult:
 
 
 def _divide_z(fd: dict, gd: dict):
-    """Exact h with g*h = f over Q, or None.  Inputs are index->int dicts."""
+    """Exact h with g*h = f over Q, or None.  Inputs are index->rational dicts."""
     r = dict(fd)
     top_g = max(gd)
     lead = gd[top_g]
@@ -64,6 +71,36 @@ def _divide_z(fd: dict, gd: dict):
         if k < 1:
             return None
         c = Fraction(r[L], lead)
+        h[k] = c
+        for j, b in gd.items():
+            idx = j * k
+            v = r.get(idx, 0) - b * c
+            if v:
+                r[idx] = v
+            else:
+                r.pop(idx, None)
+    return None
+
+
+def _divide_zz(fd: dict, gd: dict):
+    """Exact h with g*h = f over Z, or None; stops at the first quotient
+    coefficient that is not an integer.  Inputs are index->int dicts."""
+    r = dict(fd)
+    top_g = max(gd)
+    lead = gd[top_g]
+    h = {}
+    for _ in range(len(fd) * max(1, len(gd)) + len(fd) + 64):
+        if not r:
+            return h
+        L = max(r)
+        if L % top_g:
+            return None
+        k = L // top_g
+        if k < 1:
+            return None
+        c, rem = divmod(r[L], lead)
+        if rem:
+            return None
         h[k] = c
         for j, b in gd.items():
             idx = j * k
@@ -103,85 +140,80 @@ def _divide_fp(fd: dict, gd: dict, p: int):
 
 # ---------------------------------------------------------------------------
 # linear-parameter division: one middle coefficient of g is the unknown x
+#
+# Polynomials in x are lists of ints, lowest degree first, with no trailing
+# zeros.  The division by g never divides by its leading coefficient b_hi:
+# it scales the remainder by b_hi instead (pseudo-division, Knuth TAOCP
+# vol. 2, 4.6.1).  Each equation is then a nonzero integer multiple of the
+# exact one, which changes neither its roots nor whether it is constant.
 
 
-def _poly_add(a, b):
-    n = max(len(a), len(b))
-    return [
-        (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)
-    ]
+def _sub_times(r: dict, i: int, c: int, p: list, shift: int = 0):
+    """r[i] -= c * x^shift * p, dropping the entry when it becomes zero."""
+    t = r.get(i, [])
+    t = t + [0] * (len(p) + shift - len(t))  # a padded copy
+    for e, v in enumerate(p, shift):
+        t[e] -= c * v
+    while t and not t[-1]:
+        t.pop()
+    if t:
+        r[i] = t
+    else:
+        r.pop(i, None)
 
 
-def _poly_scale(a, c):
-    return [x * c for x in a]
+def _primitive(a: list) -> list:
+    g = gcd(*a)
+    return a if g == 1 else [v // g for v in a]
 
 
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
+def _pseudo_rem(a: list, b: list) -> list:
+    """Primitive part of the pseudo-remainder of a by b in Z[x]."""
+    lead, nb = b[-1], len(b)
+    a = list(a)
+    while len(a) >= nb:
+        c = a.pop()
+        shift = len(a) - nb + 1
+        a = [lead * v for v in a]
+        for e, v in enumerate(b[:-1], shift):
+            a[e] -= c * v
+        while a and not a[-1]:
+            a.pop()
+    return _primitive(a) if a else a
 
 
-def _poly_trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-class _RootExtractionError(RuntimeError):
-    """Constant term too hard to factor for rational root candidates."""
-
-
-def _poly_mod(a, b):
-    a = _poly_trim(list(a))
-    b = _poly_trim(list(b))
-    while len(a) >= len(b):
-        c = a[-1] / b[-1]
-        shift = len(a) - len(b)
-        for i, x in enumerate(b):
-            a[i + shift] -= c * x
-        a = _poly_trim(a)
-        if not a:
-            break
-    return a
-
-
-def _poly_gcd(polys):
+def _gcd_zx(polys) -> list:
+    """gcd in Z[x] by primitive pseudo-remainder sequences (up to sign)."""
     g: list = []
     for p in polys:
-        p = _poly_trim(list(p))
-        if not p:
-            continue
+        p = _primitive(p)
         if not g:
             g = p
             continue
         a, b = g, p
         while b:
-            a, b = b, _poly_mod(a, b)
+            a, b = b, _pseudo_rem(a, b)
         g = a
         if len(g) == 1:
             return g
     return g
 
 
+class _RootExtractionError(RuntimeError):
+    """Constant term too hard to factor for rational root candidates."""
+
+
 def _integer_roots(polys) -> list[int]:
-    """Common integer roots of rational-coefficient polynomials."""
-    poly = _poly_gcd(polys)
-    if len(poly) <= 1:
+    """Common integer roots of nonzero integer-coefficient polynomials."""
+    ints = _gcd_zx(polys)
+    if len(ints) <= 1:
         return []
-    den = lcm(*(c.denominator for c in poly))
-    ints = [int(c * den) for c in poly]
     roots = []
-    z = 0
-    while ints and ints[0] == 0:
-        ints = ints[1:]
-        if z == 0:
-            roots.append(0)
-        z += 1
-    if not ints or len(ints) == 1:
+    if not ints[0]:
+        roots.append(0)
+        while not ints[0]:
+            ints = ints[1:]
+    if len(ints) == 1:
         return roots
     if len(ints) == 2:
         num, lead = -ints[0], ints[1]
@@ -202,51 +234,44 @@ def _integer_roots(polys) -> list[int]:
 def _try_shape_parametric(fd: dict, gd_base: dict, mid: int):
     """Search g = (gd_base with the coefficient at index `mid` symbolic).
 
-    Performs the descending division of f by g with h coefficients kept as
-    polynomials in x; the surplus convolution equations pin x to finitely
-    many rational values, and only integer ones can make g primitive."""
+    Performs the descending pseudo-division of f by g with the remainder
+    kept as polynomials in x; the surplus convolution equations pin x to
+    finitely many rational values, and only integer ones can make g
+    primitive."""
     c1, d1 = min(gd_base), max(gd_base)
     b_hi = gd_base[d1]
     m, n = min(fd), max(fd)
     c2, d2 = m // c1, n // d1
-    g_sym = {j: [Fraction(v)] for j, v in gd_base.items() if v}
-    g_sym[mid] = [Fraction(0), Fraction(1)]
-    r: dict[int, list] = {i: [Fraction(c)] for i, c in fd.items()}
-    inv = Fraction(1, b_hi)
-    h_sym = {}
+    g_low = [(j, v) for j, v in gd_base.items() if v and j != d1]
+    r: dict[int, list] = {i: [c] for i, c in fd.items()}
     for k in range(d2, c2 - 1, -1):
         idx = d1 * k
         # entries above idx are final; a nonzero constant there kills the shape
         for i2, p2 in r.items():
-            if i2 > idx and len(p2) == 1 and p2[0]:
+            if i2 > idx and len(p2) == 1:
                 return None
-        cur = r.get(idx, [Fraction(0)])
-        ck = _poly_scale(cur, inv)
-        h_sym[k] = ck
-        for j, bp in g_sym.items():
-            t = _poly_trim(_poly_mul(bp, ck))
-            if not t:
-                continue
-            r[j * k] = _poly_trim(_poly_add(r.get(j * k, []), _poly_scale(t, -1)))
-            if not r[j * k]:
-                del r[j * k]
-    equations = [p for p in r.values() if _poly_trim(list(p))]
-    if not equations:
-        candidates = [0]
-    else:
-        constant = [p for p in equations if len(_poly_trim(list(p))) == 1]
-        if constant:
-            return None
-        candidates = _integer_roots(equations)
-    for x in candidates:
+        cur = r.pop(idx, None)
+        if cur is None:
+            continue
+        if b_hi != 1:
+            for i2, p2 in r.items():
+                if i2 < idx:
+                    r[i2] = [b_hi * v for v in p2]
+        for j, v in g_low:
+            _sub_times(r, j * k, v, cur)
+        _sub_times(r, mid * k, 1, cur, 1)
+    # r = f - g*h is never zero: g*h has positive degree in x once h != 0
+    if any(len(p) == 1 for p in r.values()):
+        return None
+    for x in _integer_roots(r.values()):
         gd = {j: v for j, v in gd_base.items() if v}
         if x:
             gd[mid] = x
         if min(gd) != c1 or max(gd) != d1:
             continue
-        h = _divide_z(fd, gd)
-        if h is not None and h and all(c.denominator == 1 for c in h.values()):
-            return gd, {k: int(c) for k, c in h.items()}
+        h = _divide_zz(fd, gd)
+        if h:
+            return gd, h
     return None
 
 
@@ -311,10 +336,12 @@ def _search_z(fd: dict, height_bound: int, node_cap: int):
     for c1, d1, mids in narrow:
         for blo, bhi in ends_for():
             nodes += 1
+            if nodes > node_cap:
+                return None, False, nodes
             if not mids:
-                h = _divide_z(fd, {c1: blo, d1: bhi})
-                if h and all(c.denominator == 1 for c in h.values()):
-                    return ({c1: blo, d1: bhi}, {k: int(c) for k, c in h.items()}), True, nodes
+                h = _divide_zz(fd, {c1: blo, d1: bhi})
+                if h:
+                    return ({c1: blo, d1: bhi}, h), True, nodes
             else:
                 try:
                     found = _try_shape_parametric(fd, {c1: blo, d1: bhi}, mids[0])
@@ -538,15 +565,11 @@ def divide_exact(f: DirichletPoly, g: DirichletPoly) -> DirichletPoly | None:
     if f.ring.kind == "Fp":
         h = _divide_fp(dict(f.items()), dict(g.items()), f.ring.p)
         return DirichletPoly(h, f.ring) if h is not None else None
-    fd = {i: Fraction(c) for i, c in f.items()}
-    h = _divide_z(fd, dict(g.items()))
-    if h is None:
-        return None
     if f.ring.kind == "Z":
-        if any(c.denominator != 1 for c in h.values()):
-            return None
-        return DirichletPoly({k: int(c) for k, c in h.items()}, ZZ)
-    return DirichletPoly(h, f.ring)
+        h = _divide_zz(dict(f.items()), dict(g.items()))
+        return DirichletPoly(h, ZZ) if h is not None else None
+    h = _divide_z(dict(f.items()), dict(g.items()))
+    return DirichletPoly(h, f.ring) if h is not None else None
 
 
 # ---------------------------------------------------------------------------

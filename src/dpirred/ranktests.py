@@ -118,10 +118,11 @@ class SparseMatrix:
             self.entries.pop((i, j), None)
 
     def row_lists(self):
-        rows = [dict() for _ in range(self.rows)]
+        """The nonempty rows as column -> entry dicts, in row order."""
+        rows: dict = {}
         for (i, j), v in self.entries.items():
-            rows[i][j] = v
-        return rows
+            rows.setdefault(i, {})[j] = v
+        return [rows[i] for i in sorted(rows)]
 
     def to_triplets(self):
         return sorted((i, j, v) for (i, j), v in self.entries.items())

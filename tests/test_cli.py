@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -108,6 +109,40 @@ def test_oracle_subcommand(capsys):
     code, out = run_cli(capsys, "oracle", "segment", "--x1", "4", "--y1", "2",
                         "--x2", "9", "--y2", "0", "--format", "json")
     assert json.loads(out)["interior_points"] == [[6, 1]]
+
+
+# inputs whose complete oracle search runs for minutes: the CLI node budget
+# stops each within seconds
+SLOW_ORACLE_INPUTS = [
+    "(12/5) + 3/2^s + (4/3)/6^s + 1/13^s + 6/16^s",
+    "3/8^s + 4/15^s + 6/33^s + 1/39^s - 2/56^s",
+]
+
+
+@pytest.mark.parametrize("text", SLOW_ORACLE_INPUTS)
+def test_oracle_factor_node_budget_binds(capsys, text):
+    from dpirred.oracle import NODE_CAP_CLI
+
+    start = time.perf_counter()
+    code, out = run_cli(capsys, "oracle", "factor", text, "--format", "json")
+    assert time.perf_counter() - start < 5
+    assert code == 2
+    obj = json.loads(out)
+    assert obj["status"] == "none-within-bound"
+    assert obj["nodes"] == NODE_CAP_CLI + 1
+
+
+def test_analyze_oracle_report_names_node_budget(capsys):
+    from dpirred.oracle import NODE_CAP_CLI
+
+    start = time.perf_counter()
+    code, out = run_cli(capsys, "analyze", SLOW_ORACLE_INPUTS[1], "--all", "--oracle",
+                        "--format", "json")
+    assert time.perf_counter() - start < 5
+    rep = json.loads(out)["reports"][-1]
+    assert rep["rule"] == "oracle" and rep["verdict"] == "inconclusive"
+    assert f"node budget of {NODE_CAP_CLI}" in rep["detail"]
+    assert rep["certificate"]["node_budget"] == NODE_CAP_CLI
 
 
 def test_rank_subcommand(capsys):

@@ -1,10 +1,21 @@
 import random
+from fractions import Fraction
+from math import lcm
 
-from dpirred.core import DirichletPoly, GF, ZZ
+from dpirred.core import DirichletPoly, GF, UnfactoredResidueError, divisors, max_exponents
 from dpirred.oracle import (
     FACTORED,
     IRREDUCIBLE_CERTIFIED,
     NONE_WITHIN_BOUND,
+    _RootExtractionError,
+    _divide_z,
+    _divide_zz,
+    _gcd_zx,
+    _index_allowed,
+    _integer_roots,
+    _shapes,
+    _signed_divisors,
+    _try_shape_parametric,
     brute_force_factor,
     divide_exact,
     enumerate_segment_points_brute,
@@ -82,6 +93,14 @@ def test_divide_exact():
 
 def test_fp_search_honours_node_cap():
     f = DirichletPoly({1: 1, 2: 1, 6: 1}, GF(3))
+    assert brute_force_factor(f).status == IRREDUCIBLE_CERTIFIED
+    res = brute_force_factor(f, node_cap=1)
+    assert res.status == NONE_WITHIN_BOUND and res.nodes == 2
+
+
+def test_z_narrow_search_honours_node_cap():
+    # 1 + 1/4^s has the one shape (1, 2), with no interior index
+    f = DirichletPoly({1: 1, 4: 1})
     assert brute_force_factor(f).status == IRREDUCIBLE_CERTIFIED
     res = brute_force_factor(f, node_cap=1)
     assert res.status == NONE_WITHIN_BOUND and res.nodes == 2
@@ -180,3 +199,260 @@ def _rand(rng, max_index=10):
             terms[rng.randint(1, max_index)] = c
     f = DirichletPoly(terms)
     return f if not f.is_zero() else DirichletPoly({1: 1, 2: 1})
+
+
+# ---------------------------------------------------------------------------
+# the Fraction search that the integer-only Z search replaced, kept as the
+# reference it is pinned against
+
+
+def _ref_poly_add(a, b):
+    n = max(len(a), len(b))
+    return [
+        (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)
+    ]
+
+
+def _ref_poly_scale(a, c):
+    return [x * c for x in a]
+
+
+def _ref_poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _ref_poly_trim(a):
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _ref_poly_mod(a, b):
+    a = _ref_poly_trim(list(a))
+    b = _ref_poly_trim(list(b))
+    while len(a) >= len(b):
+        c = a[-1] / b[-1]
+        shift = len(a) - len(b)
+        for i, x in enumerate(b):
+            a[i + shift] -= c * x
+        a = _ref_poly_trim(a)
+        if not a:
+            break
+    return a
+
+
+def _ref_poly_gcd(polys):
+    g: list = []
+    for p in polys:
+        p = _ref_poly_trim(list(p))
+        if not p:
+            continue
+        if not g:
+            g = p
+            continue
+        a, b = g, p
+        while b:
+            a, b = b, _ref_poly_mod(a, b)
+        g = a
+        if len(g) == 1:
+            return g
+    return g
+
+
+def _ref_integer_roots(polys, stats):
+    """Common integer roots, and the constant term handed to the divisor
+    scan (None when no scan runs)."""
+    poly = _ref_poly_gcd(polys)
+    if len(poly) >= 3:
+        stats["gcd_degree_2"] += 1
+    if len(poly) <= 1:
+        return [], None
+    den = lcm(*(c.denominator for c in poly))
+    ints = [int(c * den) for c in poly]
+    roots = []
+    z = 0
+    while ints and ints[0] == 0:
+        ints = ints[1:]
+        if z == 0:
+            roots.append(0)
+        z += 1
+    if not ints or len(ints) == 1:
+        return roots, None
+    if len(ints) == 2:
+        num, lead = -ints[0], ints[1]
+        if num % lead == 0:
+            roots.append(num // lead)
+        return sorted(set(roots)), None
+    try:
+        cand = divisors(abs(ints[0]))
+    except UnfactoredResidueError:
+        raise _RootExtractionError(abs(ints[0])) from None
+    for d in cand:
+        for x in (d, -d):
+            if sum(c * x**i for i, c in enumerate(ints)) == 0:
+                roots.append(x)
+    return sorted(set(roots)), abs(ints[0])
+
+
+def _ref_try_shape_parametric(fd, gd_base, mid, stats):
+    c1, d1 = min(gd_base), max(gd_base)
+    b_hi = gd_base[d1]
+    m, n = min(fd), max(fd)
+    c2, d2 = m // c1, n // d1
+    g_sym = {j: [Fraction(v)] for j, v in gd_base.items() if v}
+    g_sym[mid] = [Fraction(0), Fraction(1)]
+    r = {i: [Fraction(c)] for i, c in fd.items()}
+    inv = Fraction(1, b_hi)
+    for k in range(d2, c2 - 1, -1):
+        idx = d1 * k
+        for i2, p2 in r.items():
+            if i2 > idx and len(p2) == 1 and p2[0]:
+                return None
+        cur = r.get(idx, [Fraction(0)])
+        ck = _ref_poly_scale(cur, inv)
+        for j, bp in g_sym.items():
+            t = _ref_poly_trim(_ref_poly_mul(bp, ck))
+            if not t:
+                continue
+            r[j * k] = _ref_poly_trim(_ref_poly_add(r.get(j * k, []), _ref_poly_scale(t, -1)))
+            if not r[j * k]:
+                del r[j * k]
+    equations = [p for p in r.values() if _ref_poly_trim(list(p))]
+    if not equations:
+        stats["no_equations"] += 1
+        candidates = [0]
+    else:
+        constant = [p for p in equations if len(_ref_poly_trim(list(p))) == 1]
+        if constant:
+            return None
+        candidates, _ = _ref_integer_roots(equations, stats)
+    for x in candidates:
+        gd = {j: v for j, v in gd_base.items() if v}
+        if x:
+            gd[mid] = x
+        if min(gd) != c1 or max(gd) != d1:
+            continue
+        h = _divide_z(fd, gd)
+        if h is not None and h and all(c.denominator == 1 for c in h.values()):
+            stats["found"] += 1
+            return gd, {k: int(c) for k, c in h.items()}
+    return None
+
+
+def _shape_triples(rng, fd, limit):
+    """(g's end coefficients with boxed interior values, symbolic index or
+    None) over the shapes of f, drawn the way the Z search visits them."""
+    m, n = min(fd), max(fd)
+    prof = max_exponents(fd)
+    out = []
+    for c1, d1 in _shapes(m, n):
+        mids = [j for j in range(c1 + 1, d1) if _index_allowed(j, prof)]
+        for blo in _signed_divisors(fd[m]):
+            for bhi in divisors(abs(fd[n])):
+                gd = {c1: blo, d1: bhi}
+                gd.update({j: rng.randint(-2, 2) for j in mids[:-1]})
+                out.append((gd, mids[-1] if mids else None))
+    rng.shuffle(out)
+    return out[:limit]
+
+
+def _rand_z(rng, max_index, coeffs):
+    terms = {i: rng.choice(coeffs) for i in rng.sample(range(1, max_index + 1), rng.randint(2, 4))}
+    return DirichletPoly(terms)
+
+
+def _mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def test_integer_parametric_search_matches_fraction_reference():
+    rng = random.Random(811)
+    stats = dict.fromkeys(("b_hi", "no_interior", "gcd_degree_2", "found", "no_equations"), 0)
+    compared = 0
+    for trial in range(240):
+        if trial % 3 == 0:
+            # two factors of one shape on the powers of 2: x takes two values
+            a, b = rng.sample(range(-6, 7), 2)
+            lead = rng.choice((1, 2, 3))
+            f = DirichletPoly({1: 1, 2: a, 4: lead}) * DirichletPoly({1: 1, 2: b, 4: lead})
+        elif trial % 3 == 1:
+            f = _rand_z(rng, 8, (-3, -2, -1, 1, 2, 3, 4, 6)) * _rand_z(rng, 6, (-2, -1, 1, 2, 3))
+        else:
+            f = _rand_z(rng, 24, (-6, -4, -3, -2, -1, 1, 2, 3, 4, 6, 12))
+        fd = dict(f.normalize()[1].items())
+        for gd, mid in _shape_triples(rng, fd, 12):
+            stats["b_hi"] += gd[max(gd)] != 1
+            if mid is None:
+                # no interior index, so no equations: plain exact division
+                stats["no_interior"] += 1
+                ref = _divide_z(fd, gd)
+                if ref is not None and not all(c.denominator == 1 for c in ref.values()):
+                    ref = None
+                assert _divide_zz(fd, gd) == ref, (f.text(), gd)
+                continue
+            try:
+                ref = _ref_try_shape_parametric(fd, gd, mid, stats)
+            except _RootExtractionError:
+                continue
+            assert _try_shape_parametric(fd, gd, mid) == ref, (f.text(), gd, mid)
+            compared += 1
+    assert compared > 1000
+    # the remainder is f - g*h, and g*h has positive degree in x whenever
+    # h != 0, so a symbolic shape always leaves an equation
+    assert stats.pop("no_equations") == 0
+    assert min(stats.values()) >= 5, stats
+
+
+def test_integer_roots_match_fraction_reference():
+    rng = random.Random(812)
+    stats = {"gcd_degree_2": 0}
+    for _ in range(400):
+        common = [1]
+        for _ in range(rng.randint(0, 3)):
+            # a factor u*x - v: an integer root, a rational one or neither
+            common = _mul(common, [-rng.randint(-6, 6), rng.choice((1, 1, 2, 3))])
+        polys = []
+        for _ in range(rng.randint(1, 3)):
+            cof = [rng.randint(-4, 4) for _ in range(rng.randint(1, 3))]
+            cof[-1] = cof[-1] or 1
+            scale = rng.choice((1, 1, 2, 6, -3))
+            polys.append([scale * c for c in _mul(common, cof)])
+        ref_roots, ref_const = _ref_integer_roots([[Fraction(c) for c in p] for p in polys], stats)
+        assert _integer_roots(polys) == ref_roots, polys
+        if ref_const is not None:
+            # the divisor scan never gets a larger constant term than before
+            g = _gcd_zx(polys)
+            while not g[0]:
+                g = g[1:]
+            assert abs(g[0]) <= ref_const
+    assert stats["gcd_degree_2"] > 100
+
+
+def test_divide_zz_matches_fraction_division():
+    rng = random.Random(813)
+    exact = inexact = 0
+    for _ in range(600):
+        g = _rand_z(rng, 8, (-6, -3, -2, -1, 1, 2, 3, 5))
+        if rng.random() < 0.5:
+            f = g * _rand_z(rng, 8, (-4, -1, 1, 2, 7))
+        else:
+            f = _rand_z(rng, 40, (-9, -4, -1, 1, 2, 3, 8, 12))
+        fd, gd = dict(f.items()), dict(g.items())
+        ref = _divide_z(fd, gd)
+        got = _divide_zz(fd, gd)
+        if ref is not None and all(c.denominator == 1 for c in ref.values()):
+            assert got == ref and all(type(c) is int for c in got.values())
+            exact += 1
+        else:
+            assert got is None
+            inexact += 1
+    assert exact > 200 and inexact > 200

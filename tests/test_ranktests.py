@@ -365,3 +365,17 @@ def test_common_factor_and_derivative_builders_match_divisor_scan():
             for k in (1, 2):
                 for d in (1, f.degree):
                     assert build_d_matrix(f, k, d) == _scan_d(f, k, d), (f.text(), k, d)
+
+
+def test_row_lists_are_the_nonempty_rows_in_order():
+    rng = random.Random(89)
+    for _ in range(60):
+        f = DirichletPoly({12: 1, **{i: rng.randrange(1, 3) for i in rng.sample(range(1, 12), 3)}},
+                          GF(3))
+        for mat in (build_a_matrix(f, 2, 2), build_b_matrix(f, 2, 2)):
+            dense = [dict() for _ in range(mat.rows)]
+            for (i, j), v in mat.entries.items():
+                dense[i][j] = v
+            rows = mat.row_lists()
+            assert rows == [r for r in dense if r]
+            assert [list(r) for r in rows] == [list(r) for r in dense if r]
