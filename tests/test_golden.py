@@ -1,10 +1,13 @@
 """`dpirred analyze --format json` on the README worked examples and the
-benchmark's CLI examples, and `dpirred rank --format json` on one case of
-each matrix kind, compared byte for byte with committed snapshots.
+benchmark's CLI examples, `dpirred rank --format json` on one case of each
+matrix kind, and `dpirred upper-polygon` / `dpirred polytope --format json`
+on s,t inputs that exercise the certified log comparator, compared byte for
+byte with committed snapshots.
 
-Regenerate both snapshots after an intended output change with
+Regenerate every snapshot after an intended output change with
     PYTHONPATH=src python tests/test_golden.py
-and review the diff of tests/golden/analyze.json and tests/golden/rank.json.
+and review the diff of tests/golden/analyze.json, tests/golden/rank.json and
+tests/golden/comparator.json.
 """
 
 import contextlib
@@ -16,6 +19,7 @@ from dpirred.cli import main
 
 SNAPSHOT = Path(__file__).with_name("golden") / "analyze.json"
 RANK_SNAPSHOT = Path(__file__).with_name("golden") / "rank.json"
+COMPARATOR_SNAPSHOT = Path(__file__).with_name("golden") / "comparator.json"
 
 F2_SQUARE = '{"ring":"Fp","p":2,"terms":[[1,1],[4,1]]}'
 F3_SQUARE = '{"ring":"Fp","p":3,"terms":[[1,1],[3,2],[9,1]]}'
@@ -64,6 +68,39 @@ RANK_CASES = [
     ["1 + 3/2^s + 1/4^s", "--matrix", "D"],
 ]
 
+# s,t inputs whose upper polygons and log polytope are decided by the
+# certified log comparator: the two s,t examples of CASES, the exact chord
+# tie, a chord-family near tie (t-degrees 2, 5, 13 at s-indices 1, 2, 4, and
+# 2 * 13 = 26 against 5^2 = 25) and two of the slowest seeded 6-term inputs of
+# the benchmark's bivariate workload
+ST_INPUTS = [
+    '{"vars":["s","t"],"terms":[{"indices":[8,9],"coeff":1},{"indices":[25,49],"coeff":1},'
+    '{"indices":[121,169],"coeff":1}]}',
+    '{"vars":["s","t"],"terms":[{"indices":[1,1],"coeff":1},{"indices":[8,1],"coeff":1},'
+    '{"indices":[8,2],"coeff":1},{"indices":[16,1],"coeff":1},{"indices":[16,32],"coeff":1}]}',
+    '{"vars":["s","t"],"terms":[{"indices":[1,1],"coeff":1},{"indices":[1,2],"coeff":1},'
+    '{"indices":[2,1],"coeff":1},{"indices":[2,6],"coeff":1},{"indices":[4,1],"coeff":1},'
+    '{"indices":[4,18],"coeff":1}]}',
+    '{"vars":["s","t"],"terms":[{"indices":[1,1],"coeff":1},{"indices":[1,2],"coeff":-1},'
+    '{"indices":[2,1],"coeff":2},{"indices":[2,5],"coeff":1},{"indices":[4,1],"coeff":3},'
+    '{"indices":[4,13],"coeff":1}]}',
+    '{"vars":["s","t"],"terms":[{"indices":[1,15],"coeff":2},{"indices":[4,9],"coeff":2},'
+    '{"indices":[4,19],"coeff":-2},{"indices":[5,26],"coeff":-1},{"indices":[6,4],"coeff":-3},'
+    '{"indices":[11,25],"coeff":1}]}',
+    '{"vars":["s","t"],"terms":[{"indices":[5,26],"coeff":-2},{"indices":[6,11],"coeff":1},'
+    '{"indices":[7,17],"coeff":2},{"indices":[9,5],"coeff":1},{"indices":[11,28],"coeff":-1},'
+    '{"indices":[12,14],"coeff":3}]}',
+]
+
+# (command, arguments after the input): both upper polygons and the polytope
+COMPARATOR_CASES = [
+    (command, [f, *rest])
+    for f in ST_INPUTS
+    for command, rest in (("upper-polygon", ["--outer", "s", "--inner", "t"]),
+                          ("upper-polygon", ["--outer", "t", "--inner", "s"]),
+                          ("polytope", []))
+]
+
 
 def run(args, command="analyze"):
     out = io.StringIO()
@@ -82,7 +119,17 @@ def test_rank_json_matches_snapshot():
     assert [run(args, "rank") for args in RANK_CASES] == expected
 
 
+def comparator_runs():
+    return [{"command": command, **run(args, command)} for command, args in COMPARATOR_CASES]
+
+
+def test_comparator_json_matches_snapshot():
+    expected = json.loads(COMPARATOR_SNAPSHOT.read_text())
+    assert comparator_runs() == expected
+
+
 if __name__ == "__main__":
     SNAPSHOT.write_text(json.dumps([run(args) for args in CASES], indent=1) + "\n")
     RANK_SNAPSHOT.write_text(
         json.dumps([run(args, "rank") for args in RANK_CASES], indent=1) + "\n")
+    COMPARATOR_SNAPSHOT.write_text(json.dumps(comparator_runs(), indent=1) + "\n")
