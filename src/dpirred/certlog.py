@@ -1,9 +1,10 @@
 """Certified interval arithmetic for expressions in logarithms of rationals.
 
-Everything here is exact rational arithmetic: ln() of a positive rational is
-enclosed between two Fractions whose gap is below a requested 2^-prec, via
-the atanh series with an explicit tail bound.  Signs of log expressions are
-decided by evaluating at escalating precision; equalities are never decided
+Everything here is exact: ln() of a positive rational is enclosed between
+two Fractions whose gap is below a requested 2^-prec, via the atanh series
+with an explicit tail bound.  Signs of log expressions are decided on
+integer-scaled enclosures (the rational enclosure times a positive integer,
+so the same sign) at escalating precision; equalities are never decided
 numerically.
 
 Log expressions live in one prime-basis form, LogProduct: a polynomial over
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
+from math import lcm
 
 from .core import exponents
 
@@ -124,6 +126,7 @@ def _atanh_bounds(z: Fraction, prec: int) -> IV:
 
 _LN_CACHE: dict[tuple[int, int], IV] = {}
 _LN2_CACHE: dict[int, IV] = {}
+_LN_SCALED_CACHE: dict[tuple[int, int], tuple[int, int]] = {}
 
 
 def ln_int_bounds(n: int, prec: int) -> IV:
@@ -149,6 +152,21 @@ def ln_int_bounds(n: int, prec: int) -> IV:
     return out
 
 
+def _ln_scaled_bounds(n: int, prec: int) -> tuple[int, int]:
+    """ln_int_bounds(n, prec) times 2^prec, as two ints: its endpoints are
+    multiples of 2^-prec, so the scaling is exact."""
+    key = (n, prec)
+    out = _LN_SCALED_CACHE.get(key)
+    if out is None:
+        iv = ln_int_bounds(n, prec)
+        scale = 1 << prec
+        out = (iv.lo.numerator * (scale // iv.lo.denominator),
+               iv.hi.numerator * (scale // iv.hi.denominator))
+        if len(_LN_SCALED_CACHE) < 4096:
+            _LN_SCALED_CACHE[key] = out
+    return out
+
+
 def ln_bounds(q: Fraction, prec: int) -> IV:
     q = Fraction(q)
     if q <= 0:
@@ -160,15 +178,20 @@ def ln_bounds(q: Fraction, prec: int) -> IV:
 # multiplicative structure of rationals
 
 
+def _signed_exponents(q: Fraction) -> list[tuple[int, int]]:
+    """(p, v_p(q)) for every prime of a positive Fraction: numerator and
+    denominator are coprime, so no exponent cancels and none is zero."""
+    out = list(exponents(q.numerator).items())
+    out.extend((p, -e) for p, e in exponents(q.denominator).items())
+    return out
+
+
 def exponent_vector(q: Fraction) -> dict[int, int]:
     """Map prime -> exponent for a positive rational."""
     q = Fraction(q)
     if q <= 0:
         raise ValueError("needs a positive rational")
-    v = dict(exponents(q.numerator))
-    for p, e in exponents(q.denominator).items():
-        v[p] = v.get(p, 0) - e
-    return {p: e for p, e in v.items() if e}
+    return dict(_signed_exponents(q))
 
 
 def multiplicative_dependence_ratio(a: Fraction, b: Fraction) -> Fraction | None:
@@ -226,10 +249,12 @@ class LogProduct:
         if a <= 0 or b <= 0:
             raise ValueError("log arguments must be positive")
         t = dict(self.terms)
-        for p, e in exponent_vector(a).items():
-            for q, f in exponent_vector(b).items():
+        vb = _signed_exponents(b)
+        for p, e in _signed_exponents(a):
+            for q, f in vb:
                 m = (p, q) if p <= q else (q, p)
-                t[m] = t.get(m, Fraction(0)) + coeff * e * f
+                c = coeff * (e * f)
+                t[m] = t[m] + c if m in t else c
         self.terms = {m: c for m, c in sorted(t.items()) if c}
         return self
 
@@ -269,14 +294,32 @@ class LogProduct:
             out = out * self
         return out
 
-    def interval(self, prec: int) -> IV:
-        total = IV(0)
-        for mono, c in self.terms.items():
-            term = IV(c)
+    def scaled_interval(self, prec: int) -> tuple[int, int]:
+        """The enclosure of the form at prec, from the ln p bounds of
+        ln_int_bounds, as two ints (lo, hi) scaled by the positive integer
+        D * 2^(K*prec): D is the lcm of the coefficients' denominators and K
+        the top monomial degree.  No ln p bound is negative, so a monomial's
+        bounds are the products of its ln p bounds, and a negative
+        coefficient swaps them."""
+        terms = self.terms
+        d = lcm(*(c.denominator for c in terms.values()))
+        top = max(map(len, terms), default=0)
+        lo = hi = 0
+        for mono, c in terms.items():
+            mlo = mhi = 1
             for p in mono:
-                term = term * ln_int_bounds(p, prec)
-            total = total + term
-        return total
+                plo, phi = _ln_scaled_bounds(p, prec)
+                mlo *= plo
+                mhi *= phi
+            shift = prec * (top - len(mono))
+            n = c.numerator * (d // c.denominator)
+            if n > 0:
+                lo += (n * mlo) << shift
+                hi += (n * mhi) << shift
+            else:
+                lo += (n * mhi) << shift
+                hi += (n * mlo) << shift
+        return lo, hi
 
     def compare(self, cap_bits: int | None = None) -> str:
         """Certified sign of the form: negative | zero | positive | undecidable.
@@ -289,9 +332,11 @@ class LogProduct:
         cap = cap_bits if cap_bits is not None else precision_cap_bits()
         prec = PRECISION_START_BITS
         while True:
-            s = self.interval(prec).sign()
-            if s == POSITIVE or s == NEGATIVE:
-                return s
+            lo, hi = self.scaled_interval(prec)
+            if lo > 0:
+                return POSITIVE
+            if hi < 0:
+                return NEGATIVE
             if prec >= cap:
                 return UNDECIDABLE
             prec = min(2 * prec, cap)
@@ -312,11 +357,3 @@ def log_orientation(p1, p2, p3, cap_bits: int | None = None) -> str:
     (x1, y1), (x2, y2), (x3, y3) = p1, p2, p3
     lp = LogProduct().add_product(Fraction(x2, x1), Fraction(y3, y1))
     return lp.add_product(Fraction(x3, x1), Fraction(y2, y1), -1).compare(cap_bits)
-
-
-def compare_log_product(pairs, cap_bits: int | None = None) -> str:
-    """Sign of sum(coeff * ln(a) * ln(b)) over (a, b, coeff) triples."""
-    lp = LogProduct()
-    for a, b, coeff in pairs:
-        lp.add_product(a, b, coeff)
-    return lp.compare(cap_bits)

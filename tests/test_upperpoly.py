@@ -9,7 +9,6 @@ from dpirred.certlog import (
     POSITIVE,
     UNDECIDABLE,
     ZERO,
-    compare_log_product,
     multiplicative_dependence_ratio,
 )
 from dpirred.multivariate import MultiDirichletPoly
@@ -30,8 +29,9 @@ def test_log_product_power_identities():
     assert LogProduct.log_of(8) == LogProduct.log_of(2) * 3
     assert LogProduct.log_of(12).terms == {(2,): 2, (3,): 1}
     assert LogProduct.log_of(Fraction(9, 4)) == LogProduct.log_of(Fraction(3, 2)) * 2
-    assert compare_log_product([(8, 3, 1), (2, 3, -3)]) == ZERO
-    assert compare_log_product([(Fraction(9, 4), 5, 1), (Fraction(3, 2), 5, -2)]) == ZERO
+    assert LogProduct().add_product(8, 3).add_product(2, 3, -3).compare() == ZERO
+    assert LogProduct().add_product(Fraction(9, 4), 5).add_product(
+        Fraction(3, 2), 5, -2).compare() == ZERO
 
 
 def test_multiplicative_dependence():
@@ -41,11 +41,11 @@ def test_multiplicative_dependence():
 
 
 def test_compare_log_product_cases():
-    assert compare_log_product([(4, 9, 1), (9, 4, -1)]) == ZERO
-    assert compare_log_product([(2, 3, 1), (3, 3, -1)]) == NEGATIVE
-    assert compare_log_product([(3, 3, 1), (2, 3, -1)]) == POSITIVE
+    assert LogProduct().add_product(4, 9).add_product(9, 4, -1).compare() == ZERO
+    assert LogProduct().add_product(2, 3).add_product(3, 3, -1).compare() == NEGATIVE
+    assert LogProduct().add_product(3, 3).add_product(2, 3, -1).compare() == POSITIVE
     # collinearity with an exact witness: ln4*ln81 = ln16*ln9 -> zero
-    assert compare_log_product([(4, 81, 1), (16, 9, -1)]) == ZERO
+    assert LogProduct().add_product(4, 81).add_product(16, 9, -1).compare() == ZERO
 
 
 def test_compare_log_product_soundness_random():
@@ -55,7 +55,7 @@ def test_compare_log_product_soundness_random():
     for _ in range(10_000):
         a, b, c, d = (rng.randint(2, 50) for _ in range(4))
         coeff = rng.choice([1, 2, -3])
-        got = compare_log_product([(a, b, 1), (c, d, coeff)])
+        got = LogProduct().add_product(a, b).add_product(c, d, coeff).compare()
         true = math.log(a) * math.log(b) + coeff * math.log(c) * math.log(d)
         if got == POSITIVE:
             assert true > -1e-9
@@ -70,11 +70,11 @@ def test_compare_log_product_soundness_random():
 def test_expanded_prime_basis_identities_are_zero_without_intervals(monkeypatch):
     """ln(xy) ln(zw) = ln x ln z + ln x ln w + ln y ln z + ln y ln w and
     ln(x^k) ln y = k ln x ln y, on random rationals: every such identity
-    compares zero by cancellation alone, with no interval evaluated."""
+    compares zero by cancellation alone, with no enclosure evaluated."""
     calls = []
-    interval = LogProduct.interval
-    monkeypatch.setattr(LogProduct, "interval",
-                        lambda self, prec: calls.append(prec) or interval(self, prec))
+    scaled_interval = LogProduct.scaled_interval
+    monkeypatch.setattr(LogProduct, "scaled_interval",
+                        lambda self, prec: calls.append(prec) or scaled_interval(self, prec))
     rng = random.Random(97)
 
     def rat():
@@ -99,7 +99,8 @@ def test_exact_log_chord_tie_is_zero_and_inconclusive():
     import time
 
     start = time.perf_counter()
-    tie = compare_log_product([(6, 6, 1), (2, 2, -1), (2, 3, -2), (3, 3, -1)])
+    tie = LogProduct().add_product(6, 6).add_product(2, 2, -1).add_product(
+        2, 3, -2).add_product(3, 3, -1).compare()
     assert tie == ZERO and time.perf_counter() - start < 0.01
     from dpirred.analyze import analyze_multivariate
 
