@@ -23,6 +23,8 @@ COMPARATOR_SNAPSHOT = Path(__file__).with_name("golden") / "comparator.json"
 
 F2_SQUARE = '{"ring":"Fp","p":2,"terms":[[1,1],[4,1]]}'
 F3_SQUARE = '{"ring":"Fp","p":3,"terms":[[1,1],[3,2],[9,1]]}'
+F3_SQUARE_36 = ('{"ring":"Fp","p":3,"terms":[[1,1],[2,2],[3,2],[4,1],[6,1],[9,1],[12,2],'
+                '[18,2],[36,1]]}')
 
 CASES = [
     # README
@@ -55,6 +57,9 @@ CASES = [
     ["1/6^s"],
     # (1 + 1/3^s)^2 over F_3: the rank test's square witness
     [F3_SQUARE, "--all"],
+    # (1 + 1/2^s + 1/3^s + 1/6^s)^2 over F_3, degree 36: the square witness
+    # comes from the nullspace of a 764-row system
+    [F3_SQUARE_36],
 ]
 
 # `dpirred rank` arguments after the input: the F_p power-free systems, a
@@ -66,6 +71,11 @@ RANK_CASES = [
     [F3_SQUARE, "--matrix", "B", "--p", "3", "--k", "2"],
     ["1 + 1/2^s - 1/3^s - 1/6^s", "--matrix", "R", "--g", "1 - 2/3^s"],
     ["1 + 3/2^s + 1/4^s", "--matrix", "D"],
+    # the largest B systems of the benchmark's F_3 inputs: a tail-family
+    # input (7,980 rows, 554 nonempty) and a panel input (26,970 rows, 1,238
+    # nonempty)
+    ['{"ring":"Fp","p":3,"terms":[[1,1],[7,1],[40,1]]}', "--matrix", "B", "--p", "2", "--k", "2"],
+    ['{"ring":"Fp","p":3,"terms":[[12,1],[31,1],[60,2]]}', "--matrix", "B", "--p", "2", "--k", "2"],
 ]
 
 # s,t inputs whose upper polygons and log polytope are decided by the
