@@ -4,13 +4,17 @@ factor detection, and derivative matrices over a symbolic-log ring.
 Every system here is a convolution system: column j of a block holds the
 coefficients of a Dirichlet polynomial f moved to rows a*j, a in the support
 of f.  One helper fills all of them from the support, and one sparse
-fraction-free elimination decides every rank.  It takes the shortest
-remaining row, pivots on that row's lowest column and replaces each other
-row r by a*r - c*piv, reduced by the rule of its ring: mod p over F_p,
-divided by the row content over Z (rows over Q are cleared to integers
-first), zeros dropped over Q[L_p : p prime].  Lowest-column pivots are the
-reduced-row-echelon pivots, so over a field back-substitution from the pivot
-rows gives the canonical nullspace basis.
+fraction-free elimination decides every rank.  It keeps an index from each
+column to the rows with an entry there and a heap of (row length, position):
+the next pivot is the shortest live row, ties going to the lowest position.
+It pivots on that row's lowest column and replaces only the rows listed for
+that column, each r by a*r - c*piv, reduced by the rule of its ring: mod p
+over F_p, divided by the row content over Z (rows over Q are cleared to
+integers first), zeros dropped over Q[L_p : p prime].  A one-entry pivot
+just deletes its column from those rows.  Each pivot row is zero at the
+lowest columns of the pivots before it, so the lead columns are distinct and
+are the reduced-row-echelon pivots whatever the pivot order; over a field
+back-substitution from the pivot rows gives the canonical nullspace basis.
 
 The derivative entries live in Q[L_p], L_p standing for log p, as
 certlog.LogProduct values.  Full rank of a symbolic matrix certifies the real
@@ -23,11 +27,12 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 from fractions import Fraction
 from math import gcd, lcm
 
 from .certlog import LogProduct
-from .core import DirichletPoly, exponents, is_prime
+from .core import DirichletPoly, exponents
 from .degrees import max_multiplicity
 from . import report
 from .report import LOG_INDEPENDENCE, CriterionReport, inconclusive
@@ -59,27 +64,53 @@ def nonzero(row: dict) -> dict:
 def eliminate(rows, reduce) -> list[dict]:
     """Sparse fraction-free forward elimination of the row dicts (column ->
     entry) over an integral domain; returns the pivot rows in pivot order.
-    Each pivot row is zero at the lowest columns of the pivot rows before it."""
-    rows = [r for r in map(reduce, rows) if r]
+    Each pivot row is zero at the lowest columns of the pivot rows before it.
+    The caller's rows are left as they are."""
+    # every reduce rule builds a new dict, so the live rows are the kernel's
+    # own and change in place; the index is only added to, and a listed row
+    # that has since lost the column is skipped
+    live = [r or None for r in map(reduce, rows)]
+    heap = []
+    listed: dict = {}  # column -> positions that have (or had) an entry there
+    for i, r in enumerate(live):
+        if r:
+            heap.append((len(r), i))
+            for j in r:
+                listed.setdefault(j, []).append(i)
+    heapify(heap)
     pivots = []
-    while rows:
-        rows.sort(key=len)
-        piv = rows.pop(0)
+    while heap:
+        n, i = heappop(heap)
+        piv = live[i]
+        if piv is None or len(piv) != n:
+            continue  # pivoted, emptied, or pushed again with a new length
+        live[i] = None
         pivots.append(piv)
         j0 = min(piv)
         a = piv[j0]
-        out = []
-        for r in rows:
-            c = r.get(j0)
-            if c:
-                new = dict(r) if a == 1 else {j: a * v for j, v in r.items()}
-                for j, w in piv.items():
-                    new[j] = new[j] - c * w if j in new else -(c * w)
-                r = reduce(new)
-                if not r:
-                    continue
-            out.append(r)
-        rows = out
+        rest = [(j, w) for j, w in piv.items() if j != j0]
+        for k in listed.pop(j0):
+            r = live[k]
+            if r is None or j0 not in r:
+                continue
+            before = len(r)
+            c = r.pop(j0)
+            if rest:
+                if a != 1:
+                    r = {j: a * v for j, v in r.items()}
+                for j, w in rest:
+                    if j in r:
+                        r[j] = r[j] - c * w
+                    else:
+                        r[j] = -(c * w)
+                        listed[j].append(k)
+                r = reduce(r)
+            if not r:
+                live[k] = None
+                continue
+            live[k] = r
+            if len(r) != before:
+                heappush(heap, (len(r), k))
     return pivots
 
 
@@ -187,41 +218,6 @@ def build_a_matrix(f: DirichletPoly, p: int, k: int) -> SparseMatrix:
     for d in range(1, gdeg + 1):
         mat.set(d**char - 1, t + d - 1, char - 1)  # -1 mod char
     return mat
-
-
-def mobius_coprime_count(a: int, b: int) -> int:
-    """Number of integers in [1, a] coprime to b, by Mobius inversion over
-    the squarefree divisors of b."""
-    primes = list(exponents(b))
-    total = 0
-    for mask in range(1 << len(primes)):
-        d = 1
-        bits = 0
-        for idx, q in enumerate(primes):
-            if mask >> idx & 1:
-                d *= q
-                bits += 1
-        total += (-1) ** bits * (a // d)
-    return total
-
-
-def forced_zero_row_indices(f_degree: int, p: int, k: int, char: int) -> list[int]:
-    """Row indices of the unreduced system that are zero for every f: index
-    above max(t, n), not a char-th power, coprime to every prime <= t."""
-    n = f_degree
-    gdeg = n // p ** (k - 1)
-    t = n ** (char - 1) // p ** ((k - 1) * char)
-    lo = max(t, n)
-    hi = gdeg**char
-    primes = [q for q in range(2, t + 1) if is_prime(q)]
-    powers = {d**char for d in range(1, gdeg + 1)}
-    out = []
-    for i in range(lo + 1, hi + 1):
-        if i in powers:
-            continue
-        if all(i % q for q in primes):
-            out.append(i)
-    return out
 
 
 def k_power_free_charp(f: DirichletPoly, k: int) -> CriterionReport:

@@ -5,8 +5,9 @@ from math import gcd
 
 import pytest
 
+from dpirred import ranktests
 from dpirred.certlog import LogProduct
-from dpirred.core import DirichletPoly, GF, ZZ
+from dpirred.core import DirichletPoly, GF, ZZ, is_prime
 from dpirred.oracle import factor_completely, gcd_bounded, max_factor_multiplicity
 from dpirred.ranktests import (
     SparseMatrix,
@@ -17,9 +18,8 @@ from dpirred.ranktests import (
     common_factor_test,
     content,
     derivative_rank_test,
-    forced_zero_row_indices,
+    eliminate,
     k_power_free_charp,
-    mobius_coprime_count,
     mod_p,
     nonzero,
     nullspace,
@@ -95,6 +95,25 @@ def test_three_power_free_soundness_f3_deg8():
             assert max_factor_multiplicity(f) <= 2, f.text()
 
 
+def forced_zero_row_indices(f_degree: int, p: int, k: int, char: int) -> list[int]:
+    """Row indices of the unreduced system that are zero for every f: index
+    above max(t, n), not a char-th power, coprime to every prime <= t."""
+    n = f_degree
+    gdeg = n // p ** (k - 1)
+    t = n ** (char - 1) // p ** ((k - 1) * char)
+    lo = max(t, n)
+    hi = gdeg**char
+    primes = [q for q in range(2, t + 1) if is_prime(q)]
+    powers = {d**char for d in range(1, gdeg + 1)}
+    out = []
+    for i in range(lo + 1, hi + 1):
+        if i in powers:
+            continue
+        if all(i % q for q in primes):
+            out.append(i)
+    return out
+
+
 def test_forced_zero_rows_do_not_change_rank():
     for f in all_fp_polys(2, 8)[:40]:
         mat = build_a_matrix(f, 2, 2)
@@ -106,13 +125,6 @@ def test_forced_zero_rows_do_not_change_rank():
                 assert False, "forced zero row carries an entry"
             dropped.set(i, j, v)
         assert dropped.rank() == base
-
-
-def test_mobius_count():
-    assert mobius_coprime_count(10, 6) == len(
-        [x for x in range(1, 11) if x % 2 and x % 3])
-    assert mobius_coprime_count(100, 30) == len(
-        [x for x in range(1, 101) if x % 2 and x % 3 and x % 5])
 
 
 def test_r_matrix_self_is_deficient():
@@ -267,6 +279,138 @@ def test_kernel_constant_log_rows_match_q():
         rows, _ = _random_rows(rng, None)
         logs = [{j: LogProduct.constant(v) for j, v in row.items()} for row in rows]
         assert rank(logs, nonzero) == rank(rows, content)
+
+
+# ---------------------------------------------------------------------------
+# the row-scanning loop that the column-indexed kernel replaced, kept as the
+# reference it is pinned against
+
+
+def _eliminate_reference(rows, reduce):
+    """Each step re-sorts the live rows by length, pivots on the shortest one's
+    lowest column and scans every other row for that column."""
+    rows = [r for r in map(reduce, rows) if r]
+    pivots = []
+    while rows:
+        rows.sort(key=len)
+        piv = rows.pop(0)
+        pivots.append(piv)
+        j0 = min(piv)
+        a = piv[j0]
+        out = []
+        for r in rows:
+            c = r.get(j0)
+            if c:
+                new = dict(r) if a == 1 else {j: a * v for j, v in r.items()}
+                for j, w in piv.items():
+                    new[j] = new[j] - c * w if j in new else -(c * w)
+                r = reduce(new)
+                if not r:
+                    continue
+            out.append(r)
+        rows = out
+    return pivots
+
+
+def _snapshot(rows):
+    return [sorted((j, repr(v)) for j, v in r.items()) for r in rows]
+
+
+def _assert_matches_reference(rows, reduce, cols=None, p=None):
+    """Same rank and lead columns as the reference, distinct leads, and, over
+    F_p and Q (cols given), the same nullspace basis; the rows stay as they
+    were."""
+    before = _snapshot(rows)
+    pivots = eliminate(rows, reduce)
+    leads = [min(r) for r in pivots]
+    assert len(set(leads)) == len(leads)
+    assert sorted(leads) == sorted(min(r) for r in _eliminate_reference(rows, reduce))
+    if cols is not None:
+        basis = nullspace(rows, cols, p)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(ranktests, "eliminate", _eliminate_reference)
+            assert basis == nullspace(rows, cols, p)
+    assert _snapshot(rows) == before
+    return len(pivots)
+
+
+def _random_fp_input(rng, char):
+    """A random F_char input of degree <= 60 with p^2 | deg for some p, or the
+    square of one (rank deficient at every p)."""
+    if rng.random() < 0.25:
+        n = rng.randint(2, 7)
+        g = DirichletPoly({n: rng.randrange(1, char),
+                           **{i: rng.randrange(1, char)
+                              for i in rng.sample(range(1, n), min(n - 1, rng.randint(1, 3)))}},
+                          GF(char))
+        return g * g
+    n = rng.choice([d for d in range(4, 61) if d % 4 == 0 or d % 9 == 0])
+    return DirichletPoly({n: rng.randrange(1, char),
+                          **{i: rng.randrange(1, char)
+                             for i in rng.sample(range(1, n), min(n - 1, rng.randint(1, 5)))}},
+                         GF(char))
+
+
+def test_kernel_matches_reference_on_power_free_systems():
+    rng = random.Random(97)
+    deficient = large = 0
+    for _ in range(150):
+        char = rng.choice((2, 3))
+        f = _random_fp_input(rng, char)
+        for p, e in ranktests.exponents(f.degree).items():
+            if e < 2:
+                continue
+            for mat in (build_b_matrix(f, p, 2), build_a_matrix(f, p, 2)):
+                rows = mat.row_lists()
+                r = _assert_matches_reference(rows, mod_p(char), mat.cols, char)
+                assert r == mat.rank()
+                deficient += r < mat.cols
+                large += len(rows) >= 300
+    assert deficient >= 10 and large >= 10
+
+
+def _random_sparse_rows(rng, field):
+    """Seeded rows of up to 40 x 30: sparse, dense, zero and repeated rows,
+    entries mod p over F_p, small fractions over Q (field None)."""
+    n_rows, cols = rng.randint(1, 40), rng.randint(1, 30)
+    density = rng.choice((1, 2, 4))
+    rows = []
+    for _ in range(n_rows):
+        roll = rng.random()
+        if roll < 0.1:
+            rows.append({})
+        elif roll < 0.25 and rows:
+            rows.append(dict(rng.choice(rows)))
+        else:
+            size = cols if roll > 0.9 else min(cols, rng.randint(1, density))
+            row = {}
+            for j in rng.sample(range(cols), size):
+                if field:
+                    row[j] = rng.randrange(field)
+                else:
+                    row[j] = Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3)))
+            rows.append(row)
+    return rows, cols
+
+
+@pytest.mark.parametrize("field", [2, 3, 5, None])
+def test_kernel_matches_reference_on_random_sparse_rows(field):
+    rng = random.Random(101 if field is None else 101 + field)
+    reduce = mod_p(field) if field else content
+    for _ in range(200):
+        rows, cols = _random_sparse_rows(rng, field)
+        _assert_matches_reference(rows, reduce, cols, field)
+
+
+def test_kernel_matches_reference_on_derivative_systems():
+    rng = random.Random(103)
+    inputs = [DirichletPoly({1: 1, 2: 2, 4: -2, 8: 4, 12: 9})]
+    while len(inputs) < 100:
+        f = _rand(rng, max_index=16)
+        if not f.is_constant() and f.deg_min == 1 and f.is_algebraically_primitive():
+            inputs.append(f)
+    for f in inputs:
+        _assert_matches_reference(build_d_matrix(f), nonzero)
 
 
 # ---------------------------------------------------------------------------
