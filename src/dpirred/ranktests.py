@@ -27,8 +27,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from heapq import heapify, heappop, heappush
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 from .certlog import LogProduct
