@@ -1,13 +1,15 @@
-"""`dpirred analyze --format json` on the README worked examples and the
-benchmark's CLI examples, `dpirred rank --format json` on one case of each
-matrix kind, and `dpirred upper-polygon` / `dpirred polytope --format json`
-on s,t inputs that exercise the certified log comparator, compared byte for
-byte with committed snapshots.
+"""`dpirred analyze --format json` on the README worked examples, the
+benchmark's CLI examples and every early stop of the report loop,
+`dpirred rank --format json` on one case of each matrix kind,
+`dpirred upper-polygon` / `dpirred polytope --format json` on s,t inputs
+that exercise the certified log comparator, and `dpirred polygon --format
+json` on sloped edges with several segments, compared byte for byte with
+committed snapshots.
 
 Regenerate every snapshot after an intended output change with
     PYTHONPATH=src python tests/test_golden.py
-and review the diff of tests/golden/analyze.json, tests/golden/rank.json and
-tests/golden/comparator.json.
+and review the diff of tests/golden/analyze.json, tests/golden/rank.json,
+tests/golden/comparator.json and tests/golden/polygon.json.
 """
 
 import contextlib
@@ -20,9 +22,12 @@ from dpirred.cli import main
 SNAPSHOT = Path(__file__).with_name("golden") / "analyze.json"
 RANK_SNAPSHOT = Path(__file__).with_name("golden") / "rank.json"
 COMPARATOR_SNAPSHOT = Path(__file__).with_name("golden") / "comparator.json"
+POLYGON_SNAPSHOT = Path(__file__).with_name("golden") / "polygon.json"
 
 F2_SQUARE = '{"ring":"Fp","p":2,"terms":[[1,1],[4,1]]}'
 F3_SQUARE = '{"ring":"Fp","p":3,"terms":[[1,1],[3,2],[9,1]]}'
+FIG1 = '{"ring":"Z","terms":[[4,4],[6,4],[8,2],[9,1],[10,4],[12,1],[15,2]]}'
+DERIVATIVE_RANK = "1 + 2/2^s - 2/4^s + 4/8^s + 9/12^s"
 F3_SQUARE_36 = ('{"ring":"Fp","p":3,"terms":[[1,1],[2,2],[3,2],[4,1],[6,1],[9,1],[12,2],'
                 '[18,2],[36,1]]}')
 
@@ -30,7 +35,7 @@ CASES = [
     # README
     ["1 + 1/2^s + 1/3^s + 1/4^s"],
     ["-1 + 1/4^s", "--oracle"],
-    ['{"ring":"Z","terms":[[4,4],[6,4],[8,2],[9,1],[10,4],[12,1],[15,2]]}', "--all"],
+    [FIG1, "--all"],
     # benchmark CLI examples
     ["1 + 1/4^s", "--oracle"],
     ["4/4^s + 4/6^s + 2/8^s + 1/9^s + 4/10^s + 1/12^s + 2/15^s", "--oracle"],
@@ -40,7 +45,7 @@ CASES = [
     ["1 + 7/2^s + 7/3^s"],
     ["4/2^s + 8/3^s + 1/5^s"],
     ["1/2^s + 7/3^s + 49/9^s"],
-    ['{"ring":"Z","terms":[[4,4],[6,4],[8,2],[9,1],[10,4],[12,1],[15,2]]}'],
+    [FIG1],
     ['{"ring":"Fp","p":2,"terms":[[1,1],[4,1]]}'],
     ['{"vars":["s","t"],"terms":[{"indices":[8,9],"coeff":1},{"indices":[25,49],"coeff":1},'
      '{"indices":[121,169],"coeff":1}]}'],
@@ -60,7 +65,24 @@ CASES = [
     # (1 + 1/2^s + 1/3^s + 1/6^s)^2 over F_3, degree 36: the square witness
     # comes from the nullspace of a 764-row system
     [F3_SQUARE_36],
+    # every way the report loop stops or runs on: the algebraic-shift note
+    # with --all, a prime-value scan hit and a scan with no witness, a
+    # conditional derivative-rank verdict gated off and on, a constant, a Q
+    # input and an s,t input with --all
+    ["3/12^s + 2/20^s", "--all"],
+    ["1 + 1/2^s + 1/6^s", "--all", "--scan-t", "1..40"],
+    ["1 + 1/2^s + 1/3^s + 1/4^s", "--all", "--scan-t", "1..16"],
+    [DERIVATIVE_RANK, "--all"],
+    [DERIVATIVE_RANK, "--all", "--assume-log-independence"],
+    ["5"],
+    ["(1/2) + (3/2)/2^s + 1/3^s + 3/6^s", "--all"],
+    ['{"vars":["s","t"],"terms":[{"indices":[8,9],"coeff":1},{"indices":[25,49],"coeff":1},'
+     '{"indices":[121,169],"coeff":1}]}', "--all"],
 ]
+
+# `dpirred polygon` arguments after the input: the paper's Figure 1 input,
+# whose polygons at 2 and 3 have sloped edges carrying several segments
+POLYGON_CASES = [[FIG1, "-p", "2"], [FIG1, "-p", "3"]]
 
 # `dpirred rank` arguments after the input: the F_p power-free systems, a
 # common-factor system over Z and a derivative system over Q(L_p)
@@ -138,8 +160,15 @@ def test_comparator_json_matches_snapshot():
     assert comparator_runs() == expected
 
 
+def test_polygon_json_matches_snapshot():
+    expected = json.loads(POLYGON_SNAPSHOT.read_text())
+    assert [run(args, "polygon") for args in POLYGON_CASES] == expected
+
+
 if __name__ == "__main__":
     SNAPSHOT.write_text(json.dumps([run(args) for args in CASES], indent=1) + "\n")
     RANK_SNAPSHOT.write_text(
         json.dumps([run(args, "rank") for args in RANK_CASES], indent=1) + "\n")
     COMPARATOR_SNAPSHOT.write_text(json.dumps(comparator_runs(), indent=1) + "\n")
+    POLYGON_SNAPSHOT.write_text(
+        json.dumps([run(args, "polygon") for args in POLYGON_CASES], indent=1) + "\n")
