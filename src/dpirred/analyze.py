@@ -4,8 +4,9 @@ order and aggregate the reports.
 Order: quick support battery, polygon chords (with and without the index
 twist), multi-prime candidate intersection, slope exclusions, prime-value
 scan (opt-in), rank tests, polytope and upper-polygon criteria for
-multivariate inputs, then the oracle on request.  The first definitive
-verdict stops the run unless all reports are requested.  Conditional
+multivariate inputs, then the oracle on request.  Each pipeline yields
+its reports in that order to one loop, which stops at the first definitive
+verdict unless all reports are requested.  Conditional
 verdicts count as definitive only when the caller assumes the independence
 of the logarithms of primes.
 """
@@ -53,37 +54,42 @@ def analyze_univariate(
     assume_log_independence: bool = False,
     scan_t: tuple[int, int] | None = None,
 ) -> Analysis:
-    text = f.text()
-    reports: list[CriterionReport] = []
+    return _run(f.text(), _univariate_reports(f, run_all, use_oracle, scan_t),
+                run_all, assume_log_independence)
 
-    def push(rep: CriterionReport) -> bool:
+
+def _run(text: str, reports, run_all: bool, assume_log_independence: bool) -> Analysis:
+    """Gate each report, keep it, and stop at the first definitive one
+    unless every report is requested."""
+    kept: list[CriterionReport] = []
+    for rep in reports:
         rep = rep.gated(assume_log_independence)
-        reports.append(rep)
-        return rep.definitive and not run_all
+        kept.append(rep)
+        if rep.definitive and not run_all:
+            return Analysis(text, rep.verdict, kept)
+    return Analysis(text, _aggregate(kept), kept)
 
+
+def _univariate_reports(f: DirichletPoly, run_all: bool, use_oracle: bool, scan_t):
     if f.is_zero() or f.is_constant():
-        rep = inconclusive("input", "constant polynomial: nothing to decide")
-        return Analysis(text, rep.verdict, [rep])
+        yield inconclusive("input", "constant polynomial: nothing to decide")
+        return
     if len(f.support()) == 1:
         # c/i^s: the oracle decides it outright (irreducible iff i is prime)
-        rep = _oracle_report(f)
-        return Analysis(text, rep.verdict, [rep])
+        yield _oracle_report(f)
+        return
 
     work = f
     if not f.is_algebraically_primitive():
         _, _, d, work = f.normalize()
-        shift_note = CriterionReport(
+        yield CriterionReport(
             report.REDUCIBLE, "algebraic-shift",
             f"support gcd {d} > 1: single-term factor 1/{d}^s; criteria run "
             "on the algebraically primitive part",
             certificate={"shift": d, "primitive_part": work.text()},
         )
-        if not run_all:
-            return Analysis(text, report.REDUCIBLE, [shift_note])
-        reports.append(shift_note)
 
-    if push(quick_irreducibility(work)):
-        return Analysis(text, reports[-1].verdict, reports)
+    yield quick_irreducibility(work)
 
     if work.ring.kind in ("Z", "Q"):
         zwork = work.z_primitive_part() if work.ring.kind == "Q" else work
@@ -92,52 +98,37 @@ def analyze_univariate(
         twist_primes = sorted(set(primes) | set(index_primes))
         for p, t in [(p, 0) for p in primes] + [(p, 1) for p in twist_primes]:
             rep = dumas_test(zwork, p, shift_t=t)
-            if rep.verdict == report.IRREDUCIBLE:
-                if push(rep):
-                    return Analysis(text, reports[-1].verdict, reports)
-            elif t == 0:
-                reports.append(rep)
+            if rep.verdict == report.IRREDUCIBLE or t == 0:
+                yield rep
 
         if primes:
-            if push(multi_prime_test(zwork, primes)):
-                return Analysis(text, reports[-1].verdict, reports)
+            yield multi_prime_test(zwork, primes)
         for p in primes:
-            _, rep = slope_exclusions(zwork, p)
-            if push(rep):
-                return Analysis(text, reports[-1].verdict, reports)
+            yield slope_exclusions(zwork, p)[1]
 
         if scan_t is not None:
             from .primevalue import scan_t as scan
 
             hit = scan(zwork, scan_t[0], scan_t[1])
-            if hit is not None and push(hit[1]):
-                return Analysis(text, reports[-1].verdict, reports)
-            if hit is None:
-                reports.append(inconclusive(
-                    "prime-value-scan", f"no witness in t range {scan_t}"))
+            yield hit[1] if hit is not None else inconclusive(
+                "prime-value-scan", f"no witness in t range {scan_t}")
 
-        if push(multiplicity_report(zwork)):
-            return Analysis(text, reports[-1].verdict, reports)
+        yield multiplicity_report(zwork)
 
         if run_all and zwork.deg_min == 1 and zwork.degree <= 16:
             from .ranktests import derivative_rank_test
 
-            if push(derivative_rank_test(zwork)):
-                return Analysis(text, reports[-1].verdict, reports)
+            yield derivative_rank_test(zwork)
 
     if work.ring.kind == "Fp" and work.ring.p >= 2:
         from .ranktests import k_power_free_charp
         from .degrees import max_multiplicity
 
         if max_multiplicity(work.degree) >= 2:
-            if push(k_power_free_charp(work, 2)):
-                return Analysis(text, reports[-1].verdict, reports)
+            yield k_power_free_charp(work, 2)
 
-    if use_oracle and push(_oracle_report(work)):
-        return Analysis(text, reports[-1].verdict, reports)
-
-    verdict = _aggregate(reports)
-    return Analysis(text, verdict, reports)
+    if use_oracle:
+        yield _oracle_report(work)
 
 
 def _oracle_report(f: DirichletPoly) -> CriterionReport:
@@ -169,29 +160,22 @@ def analyze_multivariate(
     run_all: bool = False,
     assume_log_independence: bool = False,
 ) -> Analysis:
-    text = f.text()
-    reports: list[CriterionReport] = []
+    return _run(f.text(), _multivariate_reports(f), run_all, assume_log_independence)
 
-    def push(rep: CriterionReport) -> bool:
-        rep = rep.gated(assume_log_independence)
-        reports.append(rep)
-        return rep.definitive and not run_all
 
+def _multivariate_reports(f: MultiDirichletPoly):
     if f.is_zero() or f.is_constant():
-        rep = inconclusive("input", "constant polynomial: nothing to decide")
-        return Analysis(text, rep.verdict, [rep])
+        yield inconclusive("input", "constant polynomial: nothing to decide")
+        return
 
     from .core import is_prime
 
     if is_prime(f.total_degree()) and f.is_algebraically_primitive():
-        rep = CriterionReport(
+        yield CriterionReport(
             report.ABSOLUTELY_IRREDUCIBLE, "prime-degree",
             f"total degree {f.total_degree()} is prime")
-        if push(rep):
-            return Analysis(text, rep.verdict, reports)
 
-    if push(polytope_irreducibility(f)):
-        return Analysis(text, reports[-1].verdict, reports)
+    yield polytope_irreducibility(f)
 
     for outer in f.vars:
         for inner in f.vars:
@@ -201,10 +185,7 @@ def analyze_multivariate(
                 rep = stepanov_schmidt_test(f, outer, inner)
             except (HullUndecidable, ValueError):
                 continue
-            if push(rep):
-                return Analysis(text, reports[-1].verdict, reports)
-
-    return Analysis(text, _aggregate(reports), reports)
+            yield rep
 
 
 _PRIMARY_VERDICTS = (report.IRREDUCIBLE, report.ABSOLUTELY_IRREDUCIBLE, report.REDUCIBLE)

@@ -233,9 +233,7 @@ def cmd_polytope(args) -> int:
         print("polytope needs a multivariate JSON input", file=sys.stderr)
         return EXIT_ERROR
     pt = LogPolytope.of(f)
-    rep = polytope_irreducibility(f)
-    if not args.assume_log_independence:
-        rep = rep.gated(args.assume_log_independence)
+    rep = polytope_irreducibility(f).gated(args.assume_log_independence)
     obj = {
         "support": [list(v) for v in pt.support],
         "vertices": [list(v) for v in pt.vertices],
@@ -286,9 +284,7 @@ def cmd_rank(args) -> int:
     if args.matrix == "D":
         from .ranktests import derivative_rank_test
 
-        rep = derivative_rank_test(f, args.k, args.d)
-        if not args.assume_log_independence:
-            rep = rep.gated(args.assume_log_independence)
+        rep = derivative_rank_test(f, args.k, args.d).gated(args.assume_log_independence)
         rows = build_d_matrix(f, args.k, args.d)
         obj = {
             "matrix": "D",

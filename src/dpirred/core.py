@@ -144,6 +144,24 @@ def log_gcd(a: int, b: int) -> int:
     return gcd_list(eb.get(p, 0) - ea.get(p, 0) for p in ea.keys() | eb.keys())
 
 
+def log_points(a: int, b: int, d: int) -> list[int]:
+    """The d+1 integers a^(1-i/d) * b^(i/d), i = 0..d, for d dividing
+    log_gcd(a, b): the log-integral points from log a to log b in d equal
+    steps, interpolated prime by prime."""
+    ea, eb = exponents(a), exponents(b)
+    num = den = 1
+    for p in ea.keys() | eb.keys():
+        step = (eb.get(p, 0) - ea.get(p, 0)) // d
+        if step > 0:
+            num *= p**step
+        else:
+            den *= p**-step
+    out = [a]
+    for _ in range(d):
+        out.append(out[-1] * num // den)
+    return out
+
+
 def max_exponents(indices) -> dict[int, int]:
     """Largest exponent of each prime over the given indices, primes
     ascending: a factor's indices cannot exceed it in any prime, since

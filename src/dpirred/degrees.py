@@ -214,25 +214,6 @@ def multiplicity_bound(f: DirichletPoly) -> tuple[list[PowerFreeCertificate], in
     return certs, (fired_k - 1 if fired_k is not None else None)
 
 
-def weak_multiplicity_bound(n: int, i_max: int) -> int | None:
-    """The log-form bound on M(f) from the degree and the largest nonzero
-    index below it: tractable but weaker than multiplicity_bound.
-
-    Returns b with M(f) < b, or None when the hypothesis fails.
-    """
-    M = max_multiplicity(n)
-    if M < 2:
-        return None
-    p_n = smallest_prime_factor(n)
-    if i_max <= n - p_n ** (M - 1):
-        return None
-    # smallest k in 2..M with n - p_n^(k-1) < i_max
-    for k in range(2, M + 1):
-        if n - p_n ** (k - 1) < i_max:
-            return k
-    return None
-
-
 def multiplicity_report(f: DirichletPoly) -> CriterionReport:
     certs, bound = multiplicity_bound(f)
     if bound is None:

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .core import (ZZ, DirichletPoly, UnfactoredResidueError, divisors, exponents,
-                   gcd_list, max_exponents, smallest_prime_factor)
+from .core import (DirichletPoly, UnfactoredResidueError, divisors, exponents, gcd_list,
+                   max_exponents, smallest_prime_factor)
 from .certlog import multiplicative_dependence_ratio
 
 FACTORED = "factored"
@@ -53,33 +53,6 @@ class OracleResult:
 
 # ---------------------------------------------------------------------------
 # dict-level exact division (hot path: plain dicts, no wrapper objects)
-
-
-def _divide_z(fd: dict, gd: dict):
-    """Exact h with g*h = f over Q, or None.  Inputs are index->rational dicts."""
-    r = dict(fd)
-    top_g = max(gd)
-    lead = gd[top_g]
-    h = {}
-    for _ in range(len(fd) * max(1, len(gd)) + len(fd) + 64):
-        if not r:
-            return h
-        L = max(r)
-        if L % top_g:
-            return None
-        k = L // top_g
-        if k < 1:
-            return None
-        c = Fraction(r[L], lead)
-        h[k] = c
-        for j, b in gd.items():
-            idx = j * k
-            v = r.get(idx, 0) - b * c
-            if v:
-                r[idx] = v
-            else:
-                r.pop(idx, None)
-    return None
 
 
 def _divide_zz(fd: dict, gd: dict):
@@ -504,9 +477,12 @@ def _verified(work: DirichletPoly, g: DirichletPoly, h: DirichletPoly):
 
 def factor_completely(f: DirichletPoly) -> list[DirichletPoly]:
     """All nonconstant irreducible factors of f with multiplicity
-    (content dropped; factors in a canonical order)."""
+    (content dropped, so over Q they lie in Z; factors in a canonical
+    order)."""
     if f.is_zero() or f.is_constant():
         return []
+    if f.ring.kind == "Q":
+        f = f.z_primitive_part()
     res = brute_force_factor(f)
     if res.status != FACTORED:
         if res.status == NONE_WITHIN_BOUND:
@@ -538,6 +514,8 @@ def gcd_bounded(f: DirichletPoly, g: DirichletPoly) -> DirichletPoly:
         raise ValueError("ring mismatch")
     if f.is_zero() or g.is_zero() or f.is_constant() or g.is_constant():
         return DirichletPoly({1: 1}, f.ring)
+    if f.ring.kind == "Q":
+        f, g = f.z_primitive_part(), g.z_primitive_part()
     a, b = (f, g) if f.degree <= g.degree else (g, f)
     common = DirichletPoly({1: 1}, f.ring)
     rest = b
@@ -546,16 +524,15 @@ def gcd_bounded(f: DirichletPoly, g: DirichletPoly) -> DirichletPoly:
         if q is not None:
             common = common * u
             rest = q
-    if f.ring.kind == "Z":
-        _, prim, _, _ = common.normalize()
-        return prim
-    if f.ring.kind == "Fp":
-        return common.normalize()[1]
-    return common
+    return common.normalize()[1]
 
 
 def divide_exact(f: DirichletPoly, g: DirichletPoly) -> DirichletPoly | None:
-    """h with g*h = f, or None; exact in the fraction field."""
+    """h with g*h = f, or None; over Z the quotient must be integral.
+
+    Over Q, g divides f iff the Z-primitive part of g divides that of f
+    over Z (Gauss's lemma), and the quotient is then integral; h is that
+    quotient times the unit lc(f) lc(g~) / (lc(g) lc(f~))."""
     if f.ring != g.ring:
         raise ValueError("ring mismatch")
     if g.is_zero():
@@ -565,11 +542,13 @@ def divide_exact(f: DirichletPoly, g: DirichletPoly) -> DirichletPoly | None:
     if f.ring.kind == "Fp":
         h = _divide_fp(dict(f.items()), dict(g.items()), f.ring.p)
         return DirichletPoly(h, f.ring) if h is not None else None
-    if f.ring.kind == "Z":
-        h = _divide_zz(dict(f.items()), dict(g.items()))
-        return DirichletPoly(h, ZZ) if h is not None else None
-    h = _divide_z(dict(f.items()), dict(g.items()))
-    return DirichletPoly(h, f.ring) if h is not None else None
+    ring, unit = f.ring, 1
+    if ring.kind == "Q":
+        fz, gz = f.z_primitive_part(), g.z_primitive_part()
+        unit = f.leading_coeff() * gz.leading_coeff() / (g.leading_coeff() * fz.leading_coeff())
+        f, g = fz, gz
+    h = _divide_zz(dict(f.items()), dict(g.items()))
+    return DirichletPoly({k: unit * c for k, c in h.items()}, ring) if h is not None else None
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from math import gcd, lcm
 
-from .core import DirichletPoly, exponents, gcd_list, is_prime, log_gcd, valuation, valuation_q
+from .core import (DirichletPoly, exponents, gcd_list, is_prime, log_gcd, log_points, valuation,
+                   valuation_q)
 from .degrees import relative_degree_sets
 from . import report
 from .report import CriterionReport, inconclusive, irreducible
@@ -30,21 +32,6 @@ def nu(coeff, p: int) -> int:
     if isinstance(coeff, Fraction):
         return valuation_q(coeff, p)
     return valuation(coeff, p)
-
-
-def slope_cmp(p1, p2, p3) -> int:
-    """Compare slope(p1->p2) with slope(p1->p3) for points (index, y) with
-    p1.index < p2.index, p1.index < p3.index.  Returns -1, 0, or 1."""
-    (i1, y1), (i2, y2), (i3, y3) = p1, p2, p3
-    lhs = Fraction(i3, i1) ** (y2 - y1)
-    rhs = Fraction(i2, i1) ** (y3 - y1)
-    return (lhs > rhs) - (lhs < rhs)
-
-
-def on_or_above(i: int, yi: int, j: int, yj: int, k: int, yk: int) -> bool:
-    """Exact test that (log k, yk) lies on or above the line through
-    (log i, yi) and (log j, yj)."""
-    return Fraction(j) ** (yk - yi) >= Fraction(k) ** (yj - yi) * Fraction(i) ** (yk - yj)
 
 
 def _segment_data(x1: int, y1: int, x2: int, y2: int):
@@ -62,21 +49,10 @@ def _segment_data(x1: int, y1: int, x2: int, y2: int):
         pts = [(x, y1) for x in range(x1, x2 + 1)]
         ratios = tuple(Fraction(x + 1, x) for x in range(x1, x2))
         return x2 - x1, pts, ratios
-    e1, e2 = exponents(x1), exponents(x2)
-    primes = sorted(e1.keys() | e2.keys())
-    diffs = [e2.get(p, 0) - e1.get(p, 0) for p in primes]
     delta = gcd(y2 - y1, log_gcd(x1, x2))
-    pts = []
-    for i in range(delta + 1):
-        x = 1
-        for p, d in zip(primes, diffs):
-            x *= p ** (e1.get(p, 0) + i * d // delta)
-        y = y1 + i * (y2 - y1) // delta
-        pts.append((x, y))
-    ratio = Fraction(1)
-    for p, d in zip(primes, diffs):
-        ratio *= Fraction(p) ** (d // delta)
-    return delta, pts, (ratio,) * delta
+    xs = log_points(x1, x2, delta)
+    pts = [(x, y1 + i * (y2 - y1) // delta) for i, x in enumerate(xs)]
+    return delta, pts, (Fraction(xs[1], xs[0]),) * delta
 
 
 def segment_point_count(x1: int, y1: int, x2: int, y2: int):
@@ -137,7 +113,7 @@ class LogPolygon:
         """Every plotted point lies on or above every edge line."""
         for e in self.edges:
             for k, yk in self.plotted:
-                if not on_or_above(e.i1, e.y1, e.i2, e.y2, k, yk):
+                if _chord_cmp((e.i1, e.y1), (k, yk), (e.i2, e.y2)) < 0:
                     return False
         return True
 
@@ -179,7 +155,7 @@ def build_polygon(f: DirichletPoly, p: int, shift_t: int = 0) -> LogPolygon:
 
     hull: list[tuple[int, int]] = []
     for pt in plotted:
-        while len(hull) >= 2 and slope_cmp(hull[-2], hull[-1], pt) >= 0:
+        while len(hull) >= 2 and _chord_cmp(hull[-2], hull[-1], pt) >= 0:
             hull.pop()
         while len(hull) == 1 and hull[0][0] == pt[0]:
             # same index cannot occur; defensive
@@ -190,12 +166,6 @@ def build_polygon(f: DirichletPoly, p: int, shift_t: int = 0) -> LogPolygon:
         delta, pts, ratios = _segment_data(a[0], a[1], b[0], b[1])
         edges.append(Edge(a[0], a[1], b[0], b[1], delta, tuple(pts), tuple(ratios)))
     return LogPolygon(p, tuple(hull), tuple(edges), shift, plotted)
-
-
-def total_factor_bound(f: DirichletPoly, p: int) -> int:
-    """Upper bound on the number of irreducible factors of f (with
-    multiplicity): the total segment count of the polygon at p."""
-    return build_polygon(f, p).total_segments()
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +184,13 @@ def _slope_key_cmp(v1: tuple[Fraction, int], v2: tuple[Fraction, int]) -> int:
     return (lhs > rhs) - (lhs < rhs)
 
 
+def _chord_cmp(a, b, c) -> int:
+    """Sign of slope(a->b) - slope(a->c) for points (index, y); the index
+    of a is below those of b and c, or equal with equal y."""
+    return _slope_key_cmp((Fraction(b[0], a[0]), b[1] - a[1]),
+                          (Fraction(c[0], a[0]), c[1] - a[1]))
+
+
 def merge_vector_systems(a, b) -> list[tuple[Fraction, int]]:
     """Union of two vector systems with equal-slope vectors summed
     (ratios multiply, rises add), sorted by increasing slope."""
@@ -226,17 +203,7 @@ def merge_vector_systems(a, b) -> list[tuple[Fraction, int]]:
                 break
         else:
             merged.append(v)
-    return sorted(merged, key=_SlopeKey)
-
-
-class _SlopeKey:
-    __slots__ = ("v",)
-
-    def __init__(self, v):
-        self.v = v
-
-    def __lt__(self, other):
-        return _slope_key_cmp(self.v, other.v) < 0
+    return sorted(merged, key=cmp_to_key(_slope_key_cmp))
 
 
 # ---------------------------------------------------------------------------
@@ -285,26 +252,6 @@ def dumas_test(f: DirichletPoly, p: int, shift_t: int = 0) -> CriterionReport:
         + (f" ({style})" if style else ""),
         p=p, t=shift_t, endpoint_valuations=(vm, vn), style=style or None,
     )
-
-
-def dumas_equal_height_test(f: DirichletPoly, p: int | None = None) -> CriterionReport:
-    """The |a_m| = |a_n| twist: test with t = 1 at a prime p | mn with
-    nu_p(m) < nu_p(n); sufficient conditions per the twisted single-segment
-    criterion with the simpler interior inequality nu_p(i a_i) >= nu_p(n a_n)."""
-    if f.ring.kind == "Q":
-        f = f.z_primitive_part()
-    m, n = f.deg_min, f.degree
-    if abs(f.min_coeff()) != abs(f.leading_coeff()):
-        return inconclusive("dumas-equal-height", "|a_m| != |a_n|")
-    em, en = exponents(m), exponents(n)
-    candidates = [p] if p is not None else [
-        q for q in sorted(em.keys() | en.keys()) if em.get(q, 0) < en.get(q, 0)]
-    for q in candidates:
-        rep = dumas_test(f, q, shift_t=1)
-        if rep.verdict == report.IRREDUCIBLE:
-            return irreducible(
-                "dumas-equal-height", f"twisted chord fires at p={q}, t=1", p=q)
-    return inconclusive("dumas-equal-height", "no prime certifies the twisted chord")
 
 
 # ---------------------------------------------------------------------------

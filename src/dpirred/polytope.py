@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import exponents, gcd_list, iroot, log_gcd
+from .core import exponents, gcd_list, iroot, log_gcd, log_points
 from .certlog import NEGATIVE, POSITIVE, ZERO, log_orientation
 from .multivariate import MultiDirichletPoly
 from . import report
@@ -48,21 +48,9 @@ def gcd_bar_multi(segments) -> int:
 
 def segment_lattice_points(v: ExponentPoint, w: ExponentPoint) -> list[ExponentPoint]:
     """All d+1 log-integral points on the segment from v to w, where
-    d = gcd_bar(v, w): the i-th has coordinates a^(1-i/d) * b^(i/d),
-    computed exactly through the prime exponents."""
+    d = gcd_bar(v, w): the i-th has coordinates a^(1-i/d) * b^(i/d)."""
     d = gcd_bar(v, w)
-    out = []
-    for i in range(d + 1):
-        coords = []
-        for a, b in zip(v, w):
-            ea, eb = exponents(a), exponents(b)
-            x = 1
-            for p in ea.keys() | eb.keys():
-                va, vb = ea.get(p, 0), eb.get(p, 0)
-                x *= p ** (va + i * (vb - va) // d)
-            coords.append(x)
-        out.append(tuple(coords))
-    return out
+    return list(zip(*(log_points(a, b, d) for a, b in zip(v, w))))
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from .certlog import (
     log_orientation,
 )
 from .multivariate import MultiDirichletPoly
-from .polytope import gcd_bar, segment_lattice_points
+from .polytope import segment_lattice_points
 from . import report
 from .report import CriterionReport, inconclusive
 
@@ -106,9 +106,8 @@ def _upper_segment_data(a, b):
     (x1, y1), (x2, y2) = a, b
     if y1 == y2:
         return x2 - x1, [(x, y1) for x in range(x1, x2 + 1)]
-    d = gcd_bar((x1, y1), (x2, y2))
-    pts = [(p[0], p[1]) for p in segment_lattice_points((x1, y1), (x2, y2))]
-    return d, pts
+    pts = segment_lattice_points(a, b)
+    return len(pts) - 1, pts
 
 
 def upper_vector_system(poly: UpperLogPolygon):

@@ -111,6 +111,14 @@ def test_oracle_subcommand(capsys):
     assert json.loads(out)["interior_points"] == [[6, 1]]
 
 
+def test_oracle_gcd_over_q(capsys):
+    # (1/2)(1 + 3/2^s)(1 + 2/3^s) and (1/2)(1 + 3/2^s)(1 - 2/5^s)
+    code, out = run_cli(capsys, "oracle", "gcd", "(1/2) + (3/2)/2^s + 1/3^s + 3/6^s",
+                        "--g", "(1/2) + (3/2)/2^s - 1/5^s - 3/10^s", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["gcd"] == "1 + 3/2^s"
+
+
 # inputs whose complete oracle search runs for minutes: the CLI node budget
 # stops each within seconds
 SLOW_ORACLE_INPUTS = [

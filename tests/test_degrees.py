@@ -9,7 +9,6 @@ from dpirred.degrees import (
     multiplicity_bound,
     quick_irreducibility,
     relative_degree_sets,
-    weak_multiplicity_bound,
 )
 from dpirred import report
 
@@ -102,9 +101,6 @@ def test_multiplicity_near_degree():
 def test_weak_bound_formula():
     # n = 32: the k = 2 gap needs a term above n - 2 = 30, so i_max = 31
     assert max_multiplicity(32) == 5
-    assert weak_multiplicity_bound(32, 31) == 2
-    assert weak_multiplicity_bound(32, 30) == 3
-    assert weak_multiplicity_bound(32, 16) is None
     f = DirichletPoly({1: 1, 31: 1, 32: 1})
     certs, bound = multiplicity_bound(f)
     assert bound == 1

@@ -2,13 +2,12 @@ import random
 from fractions import Fraction
 from math import lcm
 
-from dpirred.core import DirichletPoly, GF, UnfactoredResidueError, divisors, max_exponents
+from dpirred.core import QQ, DirichletPoly, GF, UnfactoredResidueError, divisors, max_exponents
 from dpirred.oracle import (
     FACTORED,
     IRREDUCIBLE_CERTIFIED,
     NONE_WITHIN_BOUND,
     _RootExtractionError,
-    _divide_z,
     _divide_zz,
     _gcd_zx,
     _index_allowed,
@@ -89,6 +88,33 @@ def test_divide_exact():
     h = DirichletPoly({2: 1, 7: -2})
     assert divide_exact(g * h, g) == h
     assert divide_exact(g * h, DirichletPoly({1: 1, 5: 1})) is None
+    # over Q, with non-integral contents: (1/2)(1 + 3/2^s)(1 + 2/3^s) by
+    # (2/3)(1 + 3/2^s), and by (1/2)(1 + 3/2^s)(1 - 2/5^s), which does not divide
+    f = DirichletPoly({1: Fraction(1, 2), 2: Fraction(3, 2), 3: 1, 6: 3}, QQ)
+    u = DirichletPoly({1: Fraction(2, 3), 2: 2}, QQ)
+    assert divide_exact(f, u) == DirichletPoly({1: Fraction(3, 4), 3: Fraction(3, 2)}, QQ)
+    v = DirichletPoly({1: Fraction(1, 2), 2: Fraction(3, 2), 5: -1, 10: -3}, QQ)
+    assert divide_exact(f, v) is None
+    # seeded Q pairs against the Fraction division loop
+    rng = random.Random(814)
+    exact = 0
+    for _ in range(300):
+        g = _rand_q(rng)
+        f = g * _rand_q(rng) if rng.random() < 0.5 else _rand_q(rng, 30)
+        ref = _divide_z(dict(f.items()), dict(g.items()))
+        got = divide_exact(f, g)
+        assert got == (None if ref is None else DirichletPoly(ref, QQ)), (f.text(), g.text())
+        exact += got is not None
+    assert exact > 100
+
+
+def test_factor_completely_over_q_returns_integer_factors():
+    # factored: (1/2)(1 + 3/2^s)(1 + 2/3^s); irreducible: (2/3)(1 + 1/4^s)
+    f = DirichletPoly({1: Fraction(1, 2), 2: Fraction(3, 2), 3: 1, 6: 3}, QQ)
+    assert factor_completely(f) == [DirichletPoly({1: 1, 2: 3}), DirichletPoly({1: 1, 3: 2})]
+    g = DirichletPoly({1: Fraction(2, 3), 4: Fraction(2, 3)}, QQ)
+    assert factor_completely(g) == [DirichletPoly({1: 1, 4: 1})]
+    assert all(u.ring.kind == "Z" for u in factor_completely(f) + factor_completely(g))
 
 
 def test_fp_search_honours_node_cap():
@@ -199,6 +225,44 @@ def _rand(rng, max_index=10):
             terms[rng.randint(1, max_index)] = c
     f = DirichletPoly(terms)
     return f if not f.is_zero() else DirichletPoly({1: 1, 2: 1})
+
+
+# ---------------------------------------------------------------------------
+# the Fraction division over Q that the integer kernel _divide_zz replaced,
+# kept as the reference both are pinned against
+
+
+def _divide_z(fd: dict, gd: dict):
+    """Exact h with g*h = f over Q, or None.  Inputs are index->rational dicts."""
+    r = dict(fd)
+    top_g = max(gd)
+    lead = gd[top_g]
+    h = {}
+    for _ in range(len(fd) * max(1, len(gd)) + len(fd) + 64):
+        if not r:
+            return h
+        L = max(r)
+        if L % top_g:
+            return None
+        k = L // top_g
+        if k < 1:
+            return None
+        c = Fraction(r[L], lead)
+        h[k] = c
+        for j, b in gd.items():
+            idx = j * k
+            v = r.get(idx, 0) - b * c
+            if v:
+                r[idx] = v
+            else:
+                r.pop(idx, None)
+    return None
+
+
+def _rand_q(rng, max_index=8):
+    coeffs = (Fraction(1, 2), Fraction(-2, 3), Fraction(3, 4), 1, -1, 2, Fraction(5, 6))
+    terms = {i: rng.choice(coeffs) for i in rng.sample(range(1, max_index + 1), rng.randint(2, 4))}
+    return DirichletPoly(terms, QQ)
 
 
 # ---------------------------------------------------------------------------

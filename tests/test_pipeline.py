@@ -6,14 +6,18 @@ algebraically primitive part of the input).
 
 The oracle gets a node cap: clearing the denominators of a Q input can
 raise the factor height bound so far that one certificate takes seconds,
-and inputs it leaves undecided are counted, not checked."""
+and inputs it leaves undecided are counted, not checked.
+
+The stop rule is checked on the same draws and on s,t inputs: without
+run_all the analysis ends at the first definitive report."""
 
 import random
 from fractions import Fraction
 
 from dpirred import report
-from dpirred.analyze import analyze_univariate
+from dpirred.analyze import _aggregate, analyze_multivariate, analyze_univariate
 from dpirred.core import GF, DirichletPoly, QQ
+from dpirred.multivariate import MultiDirichletPoly
 from dpirred.oracle import (FACTORED, IRREDUCIBLE_CERTIFIED, NONE_WITHIN_BOUND,
                             brute_force_factor, max_factor_multiplicity)
 
@@ -74,3 +78,41 @@ def test_square_free_reports_agree_with_oracle_fp():
                 assert (rep.verdict == report.SQUARE_FREE) == square_free, (f.text(), rep.rule)
                 checked += 1
     assert checked > 100
+
+
+def _random_st_input(rng):
+    indices = {(rng.randint(1, 12), rng.randint(1, 30)) for _ in range(rng.randint(2, 6))}
+    return MultiDirichletPoly({i: rng.choice(COEFFS) for i in indices}, ("s", "t"))
+
+
+def _stop_rule_holds(analyze, f, **kwargs):
+    """analyze(f) keeps a prefix of the reports of analyze(f, run_all=True),
+    which run_all only extends (by the derivative rank test), and ends at the
+    first definitive report, taking its verdict; with none, the verdict is
+    the aggregate.  Returns whether a report stopped it."""
+    short = analyze(f, **kwargs)
+    full = analyze(f, run_all=True, **kwargs).reports
+    k = len(short.reports)
+    assert short.reports == full[:k], f.text()
+    stop = next((j for j, rep in enumerate(full) if rep.definitive), None)
+    if stop is not None and stop < k:
+        assert stop == k - 1 and short.verdict == full[stop].verdict, f.text()
+        return True
+    assert short.verdict == _aggregate(short.reports), f.text()
+    return False
+
+
+def test_first_definitive_report_stops_the_run():
+    rng = random.Random(61)
+    cases = [(analyze_univariate, _random_input(rng), {}) for _ in range(150)]
+    cases += [(analyze_univariate, _random_input(rng), {"scan_t": (1, 6)}) for _ in range(40)]
+    cases += [(analyze_univariate, _random_fp_input(rng), {}) for _ in range(150)]
+    cases += [(analyze_univariate, DirichletPoly({rng.randint(1, 30): 2})
+               if rng.random() < 0.5 else DirichletPoly({1: rng.choice(COEFFS)}), {})
+              for _ in range(10)]
+    cases += [(analyze_multivariate, _random_st_input(rng), {}) for _ in range(150)]
+    stopped = 0
+    for analyze, f, kwargs in cases:
+        for independent in (False, True):
+            stopped += _stop_rule_holds(analyze, f, assume_log_independence=independent, **kwargs)
+    assert 0 < stopped < 2 * len(cases)

@@ -14,14 +14,12 @@ from dpirred.polygon import (
     candidate_relative_degrees,
     lone_slope_combination_test,
     combination_degree_exclusions,
-    dumas_equal_height_test,
     dumas_test,
     slope_exclusions,
     merge_vector_systems,
     multi_prime_test,
     segment_point_count,
     subset_product_targets,
-    total_factor_bound,
     vector_system,
 )
 from dpirred import report
@@ -74,12 +72,12 @@ def test_segment_points_match_brute_force_sample():
 def test_total_factor_bound_figure1():
     # 2 + 3 + 1: the horizontal edge (9, 0)-(12, 0) passes through the
     # log-integral points at 10 and 11, so it carries three segments
-    assert total_factor_bound(FIG1, 2) == 6
+    assert build_polygon(FIG1, 2).total_segments() == 6
     f = DirichletPoly({3: 1, 7: 5})
-    assert total_factor_bound(f, 5) == 1
+    assert build_polygon(f, 5).total_segments() == 1
     # a flat polygon cannot bound better than one segment per index step
     zeta6 = DirichletPoly({i: 1 for i in range(1, 7)})
-    assert total_factor_bound(zeta6, 7) == 5
+    assert build_polygon(zeta6, 7).total_segments() == 5
 
 
 def test_vector_merge_on_figure1():
@@ -110,8 +108,8 @@ def test_dumas_worked_odd_multiplicity_example():
 def test_dumas_equal_height_twist():
     # |a_m| = |a_n|: the t = 1 twist with p = 2 certifies 1 + ... + 1/2^s forms
     f = DirichletPoly({1: 1, 2: 1})
-    rep = dumas_equal_height_test(f)
-    assert rep.verdict == report.IRREDUCIBLE
+    rep = dumas_test(f, 2, shift_t=1)
+    assert rep.verdict == report.IRREDUCIBLE and rep.certificate["t"] == 1
 
 
 def test_candidate_degrees_two_segment_profile():
