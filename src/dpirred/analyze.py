@@ -6,9 +6,9 @@ twist), multi-prime candidate intersection, slope exclusions, prime-value
 scan (opt-in), rank tests, polytope and upper-polygon criteria for
 multivariate inputs, then the oracle on request.  Each pipeline yields
 its reports in that order to one loop, which stops at the first definitive
-verdict unless all reports are requested.  Conditional
-verdicts count as definitive only when the caller assumes the independence
-of the logarithms of primes.
+verdict unless all reports are requested.  Conditional verdicts count as
+definitive only when the caller assumes the independence of the logarithms
+of primes.
 """
 
 from __future__ import annotations

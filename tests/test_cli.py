@@ -109,10 +109,7 @@ def test_oracle_subcommand(capsys):
     code, out = run_cli(capsys, "oracle", "segment", "--x1", "4", "--y1", "2",
                         "--x2", "9", "--y2", "0", "--format", "json")
     assert json.loads(out)["interior_points"] == [[6, 1]]
-
-
-def test_oracle_gcd_over_q(capsys):
-    # (1/2)(1 + 3/2^s)(1 + 2/3^s) and (1/2)(1 + 3/2^s)(1 - 2/5^s)
+    # over Q: (1/2)(1 + 3/2^s)(1 + 2/3^s) and (1/2)(1 + 3/2^s)(1 - 2/5^s)
     code, out = run_cli(capsys, "oracle", "gcd", "(1/2) + (3/2)/2^s + 1/3^s + 3/6^s",
                         "--g", "(1/2) + (3/2)/2^s - 1/5^s - 3/10^s", "--format", "json")
     assert code == 0

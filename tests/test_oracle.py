@@ -26,6 +26,8 @@ from dpirred.oracle import (
 from dpirred.primevalue import gelfond_factor_height_bound
 
 FIG1 = DirichletPoly({4: 4, 6: 4, 8: 2, 9: 1, 10: 4, 12: 1, 15: 2})
+# (1/2)(1 + 3/2^s)(1 + 2/3^s) over Q
+F_Q = DirichletPoly({1: Fraction(1, 2), 2: Fraction(3, 2), 3: 1, 6: 3}, QQ)
 
 
 def test_oracle_factors_worked_example():
@@ -81,6 +83,11 @@ def test_factor_completely_and_gcd():
     assert gcd_bounded(g * w, h * w) == w.normalize()[1]
     assert gcd_bounded(g, h).is_constant()
     assert gcd_bounded(g * h, g * h) == (g * h).normalize()[1]
+    # over Q the factors lie in Z, whether the input factors or not
+    u = DirichletPoly({1: Fraction(2, 3), 4: Fraction(2, 3)}, QQ)
+    assert factor_completely(F_Q) == [DirichletPoly({1: 1, 2: 3}), DirichletPoly({1: 1, 3: 2})]
+    assert factor_completely(u) == [DirichletPoly({1: 1, 4: 1})]
+    assert all(v.ring.kind == "Z" for v in factor_completely(F_Q) + factor_completely(u))
 
 
 def test_divide_exact():
@@ -88,13 +95,12 @@ def test_divide_exact():
     h = DirichletPoly({2: 1, 7: -2})
     assert divide_exact(g * h, g) == h
     assert divide_exact(g * h, DirichletPoly({1: 1, 5: 1})) is None
-    # over Q, with non-integral contents: (1/2)(1 + 3/2^s)(1 + 2/3^s) by
-    # (2/3)(1 + 3/2^s), and by (1/2)(1 + 3/2^s)(1 - 2/5^s), which does not divide
-    f = DirichletPoly({1: Fraction(1, 2), 2: Fraction(3, 2), 3: 1, 6: 3}, QQ)
+    # over Q, with non-integral contents: F_Q by (2/3)(1 + 3/2^s), and by
+    # (1/2)(1 + 3/2^s)(1 - 2/5^s), which does not divide it
     u = DirichletPoly({1: Fraction(2, 3), 2: 2}, QQ)
-    assert divide_exact(f, u) == DirichletPoly({1: Fraction(3, 4), 3: Fraction(3, 2)}, QQ)
+    assert divide_exact(F_Q, u) == DirichletPoly({1: Fraction(3, 4), 3: Fraction(3, 2)}, QQ)
     v = DirichletPoly({1: Fraction(1, 2), 2: Fraction(3, 2), 5: -1, 10: -3}, QQ)
-    assert divide_exact(f, v) is None
+    assert divide_exact(F_Q, v) is None
     # seeded Q pairs against the Fraction division loop
     rng = random.Random(814)
     exact = 0
@@ -106,15 +112,6 @@ def test_divide_exact():
         assert got == (None if ref is None else DirichletPoly(ref, QQ)), (f.text(), g.text())
         exact += got is not None
     assert exact > 100
-
-
-def test_factor_completely_over_q_returns_integer_factors():
-    # factored: (1/2)(1 + 3/2^s)(1 + 2/3^s); irreducible: (2/3)(1 + 1/4^s)
-    f = DirichletPoly({1: Fraction(1, 2), 2: Fraction(3, 2), 3: 1, 6: 3}, QQ)
-    assert factor_completely(f) == [DirichletPoly({1: 1, 2: 3}), DirichletPoly({1: 1, 3: 2})]
-    g = DirichletPoly({1: Fraction(2, 3), 4: Fraction(2, 3)}, QQ)
-    assert factor_completely(g) == [DirichletPoly({1: 1, 4: 1})]
-    assert all(u.ring.kind == "Z" for u in factor_completely(f) + factor_completely(g))
 
 
 def test_fp_search_honours_node_cap():
