@@ -2,14 +2,16 @@
 benchmark's CLI examples and every early stop of the report loop,
 `dpirred rank --format json` on one case of each matrix kind,
 `dpirred upper-polygon` / `dpirred polytope --format json` on s,t inputs
-that exercise the certified log comparator, and `dpirred polygon --format
-json` on sloped edges with several segments, compared byte for byte with
-committed snapshots.
+that exercise the certified log comparator, `dpirred polygon --format
+json` on sloped edges with several segments, and `dpirred prime-value`,
+`dpirred schonemann` and `dpirred oracle --format json` on one case of each
+route, compared byte for byte with committed snapshots.
 
 Regenerate every snapshot after an intended output change with
     PYTHONPATH=src python tests/test_golden.py
 and review the diff of tests/golden/analyze.json, tests/golden/rank.json,
-tests/golden/comparator.json and tests/golden/polygon.json.
+tests/golden/comparator.json, tests/golden/polygon.json and
+tests/golden/subcommands.json.
 """
 
 import contextlib
@@ -23,6 +25,7 @@ SNAPSHOT = Path(__file__).with_name("golden") / "analyze.json"
 RANK_SNAPSHOT = Path(__file__).with_name("golden") / "rank.json"
 COMPARATOR_SNAPSHOT = Path(__file__).with_name("golden") / "comparator.json"
 POLYGON_SNAPSHOT = Path(__file__).with_name("golden") / "polygon.json"
+SUBCOMMAND_SNAPSHOT = Path(__file__).with_name("golden") / "subcommands.json"
 
 F2_SQUARE = '{"ring":"Fp","p":2,"terms":[[1,1],[4,1]]}'
 F3_SQUARE = '{"ring":"Fp","p":3,"terms":[[1,1],[3,2],[9,1]]}'
@@ -133,12 +136,40 @@ COMPARATOR_CASES = [
                           ("polytope", []))
 ]
 
+# whole argvs of the subcommands without an input-first form: the
+# prime-value threshold at one t and over a scan, the four linear-combination
+# variants (the classic one needs the F_3 oracle to certify F irreducible
+# mod 3, the value one scans for a witness and finds none) and the oracle's
+# factor, gcd and segment actions
+SUBCOMMAND_CASES = [
+    ["prime-value", "1 + 1/4^s", "--t", "8", "--P", "65537"],
+    ["prime-value", "1 + 1/4^s", "--scan-t", "1..16"],
+    ["schonemann", "--variant", "pq", "--F", "1 + 1/5^s", "--G", "2 + 1/5^s",
+     "--n", "2", "--p", "2", "--q", "3"],
+    ["schonemann", "--variant", "classic", "--F", "1 + 1/2^s + 1/6^s", "--G", "1", "--p", "3"],
+    ["schonemann", "--variant", "value", "--F", "1 + 1/2^s", "--G", "1 + 1/2^s", "--p", "3",
+     "--scan", "8"],
+    ["schonemann", "--variant", "prime-power", "--F", "-1 + 1/2^s", "--G", "1/2^s",
+     "--n", "2", "--p", "3", "--a", "-2"],
+    ["oracle", "factor", "-1 + 1/4^s"],
+    ["oracle", "factor", "2 + 3/2^s + 1/4^s + 5/6^s"],
+    ["oracle", "gcd", "1 + 1/2^s - 1/3^s - 1/6^s", "--g", "1 - 1/3^s"],
+    ["oracle", "segment", "--x1", "4", "--y1", "2", "--x2", "9", "--y2", "0"],
+]
+
 
 def run(args, command="analyze"):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main([command, args[0], "--format", "json", *args[1:]])
     return {"args": args, "exit": code, "stdout": out.getvalue()}
+
+
+def run_argv(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([*argv, "--format", "json"])
+    return {"argv": argv, "exit": code, "stdout": out.getvalue()}
 
 
 def test_analyze_json_matches_snapshot():
@@ -165,6 +196,11 @@ def test_polygon_json_matches_snapshot():
     assert [run(args, "polygon") for args in POLYGON_CASES] == expected
 
 
+def test_subcommand_json_matches_snapshot():
+    expected = json.loads(SUBCOMMAND_SNAPSHOT.read_text())
+    assert [run_argv(argv) for argv in SUBCOMMAND_CASES] == expected
+
+
 if __name__ == "__main__":
     SNAPSHOT.write_text(json.dumps([run(args) for args in CASES], indent=1) + "\n")
     RANK_SNAPSHOT.write_text(
@@ -172,3 +208,5 @@ if __name__ == "__main__":
     COMPARATOR_SNAPSHOT.write_text(json.dumps(comparator_runs(), indent=1) + "\n")
     POLYGON_SNAPSHOT.write_text(
         json.dumps([run(args, "polygon") for args in POLYGON_CASES], indent=1) + "\n")
+    SUBCOMMAND_SNAPSHOT.write_text(
+        json.dumps([run_argv(argv) for argv in SUBCOMMAND_CASES], indent=1) + "\n")
