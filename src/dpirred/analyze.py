@@ -32,19 +32,19 @@ class Analysis:
     reports: list[CriterionReport] = field(default_factory=list)
 
 
-def coefficient_primes(f: DirichletPoly, cap: int = 10**6, max_primes: int = 10) -> list[int]:
+def coefficient_primes(f: DirichletPoly) -> list[int]:
     """Primes dividing at least one coefficient (the ones that can shape a
-    polygon), smallest first."""
+    polygon), smallest first: the first ten, from trial division to 10^6."""
     ps: set[int] = set()
     for c in f.terms.values():
         c = abs(int(c)) if not hasattr(c, "denominator") else abs(c.numerator * c.denominator)
         if c in (0, 1):
             continue
         try:
-            ps.update(p for p, _ in factor_integer(c, cap))
+            ps.update(p for p, _ in factor_integer(c, 10**6))
         except UnfactoredResidueError:
             ps.update(p for p in (2, 3, 5, 7) if c % p == 0)
-    return sorted(ps)[:max_primes]
+    return sorted(ps)[:10]
 
 
 def analyze_univariate(

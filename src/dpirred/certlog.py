@@ -18,7 +18,6 @@ or Undecidable at the precision cap, never a wrong sign.
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from math import lcm
 
@@ -29,13 +28,8 @@ ZERO = "zero"
 POSITIVE = "positive"
 UNDECIDABLE = "undecidable"
 
-PRECISION_CAP_BITS_DEFAULT = 4096
+PRECISION_CAP_BITS = 4096
 PRECISION_START_BITS = 64
-
-
-def precision_cap_bits() -> int:
-    v = os.environ.get("DPIRRED_PRECISION_CAP_BITS")
-    return int(v) if v else PRECISION_CAP_BITS_DEFAULT
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +315,7 @@ class LogProduct:
                 hi += (n * mlo) << shift
         return lo, hi
 
-    def compare(self, cap_bits: int | None = None) -> str:
+    def compare(self) -> str:
         """Certified sign of the form: negative | zero | positive | undecidable.
 
         Zero is reported only when the prime-basis expansion cancels, an
@@ -329,7 +323,6 @@ class LogProduct:
         """
         if not self.terms:
             return ZERO
-        cap = cap_bits if cap_bits is not None else precision_cap_bits()
         prec = PRECISION_START_BITS
         while True:
             lo, hi = self.scaled_interval(prec)
@@ -337,9 +330,9 @@ class LogProduct:
                 return POSITIVE
             if hi < 0:
                 return NEGATIVE
-            if prec >= cap:
+            if prec >= PRECISION_CAP_BITS:
                 return UNDECIDABLE
-            prec = min(2 * prec, cap)
+            prec = min(2 * prec, PRECISION_CAP_BITS)
 
     def __repr__(self):
         if not self.terms:
@@ -351,9 +344,9 @@ class LogProduct:
         return " + ".join(bits)
 
 
-def log_orientation(p1, p2, p3, cap_bits: int | None = None) -> str:
+def log_orientation(p1, p2, p3) -> str:
     """Sign of the turn (log p1) -> (log p2) -> (log p3) for points (x, y)
     of positive integers: zero means collinear with an exact witness."""
     (x1, y1), (x2, y2), (x3, y3) = p1, p2, p3
     lp = LogProduct().add_product(Fraction(x2, x1), Fraction(y3, y1))
-    return lp.add_product(Fraction(x3, x1), Fraction(y2, y1), -1).compare(cap_bits)
+    return lp.add_product(Fraction(x3, x1), Fraction(y2, y1), -1).compare()

@@ -2,8 +2,7 @@
 
 Subcommands: analyze, polygon, upper-polygon, polytope, rank, prime-value,
 schonemann, oracle.  Exit codes: 0 definitive verdict, 2 inconclusive,
-3 undecidable, 1 error.  Set DPIRRED_PRECISION_CAP_BITS to override the
-certified-comparison precision cap.
+3 undecidable, 1 error (a usage error too).
 """
 
 from __future__ import annotations
@@ -82,6 +81,13 @@ def _emit_text(obj, indent=0):
                 print(f"{pad}- {v}")
     else:
         print(f"{pad}{obj}")
+
+
+def _require(args, *names: str):
+    """Raise ValueError naming the arguments this command needs and lacks."""
+    missing = [n for n in names if getattr(args, n.lstrip("-")) is None]
+    if missing:
+        raise ValueError(f"the following arguments are required: {', '.join(missing)}")
 
 
 def _verdict_exit(verdict: str) -> int:
@@ -269,6 +275,7 @@ def cmd_rank(args) -> int:
         _emit(obj, args.format)
         return _verdict_exit(rep.verdict)
     if args.matrix == "R":
+        _require(args, "--g")
         g = _load_input(args.g)
         mat = build_r_matrix(f, g, args.d)
         rep = common_factor_test(f, g, args.d)
@@ -315,6 +322,7 @@ def cmd_prime_value(args) -> int:
         t, rep = hit
         _emit({"t": t, "criterion": _report_obj(rep)}, args.format)
         return _verdict_exit(rep.verdict)
+    _require(args, "--t", "--P")
     rep = prime_value_test(f, args.t, args.P, args.ell, args.q)
     _emit(_report_obj(rep), args.format)
     return _verdict_exit(rep.verdict)
@@ -344,6 +352,7 @@ def cmd_oracle(args) -> int:
                          gcd_bounded)
 
     if args.action == "factor":
+        _require(args, "input")
         f = _load_input(args.input)
         res = brute_force_factor(f, node_cap=NODE_CAP_CLI)
         obj = {"status": res.status, "bound": res.bound, "nodes": res.nodes}
@@ -352,11 +361,13 @@ def cmd_oracle(args) -> int:
         _emit(obj, args.format)
         return EXIT_DEFINITIVE if res.status != "none-within-bound" else EXIT_INCONCLUSIVE
     if args.action == "gcd":
+        _require(args, "input", "--g")
         f = _load_input(args.input)
         g = _load_input(args.g)
         _emit({"gcd": gcd_bounded(f, g).text()}, args.format)
         return EXIT_DEFINITIVE
     if args.action == "segment":
+        _require(args, "--x1", "--y1", "--x2", "--y2")
         x1, y1, x2, y2 = args.x1, args.y1, args.x2, args.y2
         pts = enumerate_segment_points_brute(x1, y1, x2, y2)
         _emit({"interior_points": [list(p) for p in pts]}, args.format)
@@ -365,8 +376,15 @@ def cmd_oracle(args) -> int:
     return EXIT_ERROR
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ValueError, which main reports on one line."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="dpirred",
         description="Exact irreducibility toolkit for Dirichlet polynomials",
     )
@@ -453,9 +471,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except (ValueError, UnfactoredResidueError, json.JSONDecodeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

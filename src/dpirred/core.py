@@ -122,7 +122,7 @@ def factor_integer(n: int, cap: int = FACTOR_CAP_DEFAULT) -> list[tuple[int, int
 _EXPONENT_CACHE: dict[int, Mapping[int, int]] = {}
 
 
-def exponents(n: int, cap: int = FACTOR_CAP_DEFAULT) -> Mapping[int, int]:
+def exponents(n: int) -> Mapping[int, int]:
     """The prime exponents {p: v_p(n)} of n >= 1, primes ascending.
 
     The one source of index exponents for every lattice, segment and log
@@ -131,7 +131,7 @@ def exponents(n: int, cap: int = FACTOR_CAP_DEFAULT) -> Mapping[int, int]:
     """
     out = _EXPONENT_CACHE.get(n)
     if out is None:
-        out = MappingProxyType(dict(factor_integer(n, cap)))
+        out = MappingProxyType(dict(factor_integer(n)))
         if n <= 10**6:
             _EXPONENT_CACHE[n] = out
     return out
@@ -452,11 +452,11 @@ class DirichletPoly:
             raise ValueError("reduce_mod needs integer coefficients")
         return DirichletPoly({i: c % p for i, c in self._terms.items()}, GF(p))
 
-    def relevant_primes(self, cap: int = FACTOR_CAP_DEFAULT) -> list[int]:
+    def relevant_primes(self) -> list[int]:
         """Primes dividing at least one support index."""
         ps = set()
         for i in self._terms:
-            ps.update(exponents(i, cap))
+            ps.update(exponents(i))
         return sorted(ps)
 
     # -- text and JSON forms ------------------------------------------------
@@ -499,7 +499,7 @@ class DirichletPoly:
         return cls(terms, ring)
 
     @classmethod
-    def parse(cls, s: str, ring: Ring = None) -> "DirichletPoly":
+    def parse(cls, s: str) -> "DirichletPoly":
         """Parse the `a/i^s` text form, e.g. "4/4^s + 4/6^s - 2/8^s"."""
         s = s.strip().replace("−", "-").replace("⁄", "/")
         if not s:
@@ -511,9 +511,18 @@ class DirichletPoly:
         for sign, body in tokens:
             coeff, idx = _parse_term(body)
             terms[idx] = terms.get(idx, Fraction(0)) + sign * coeff
-        if ring is None:
-            ring = ZZ if all(c.denominator == 1 for c in terms.values()) else QQ
-        return cls(terms, ring)
+        return cls(terms, ZZ if all(c.denominator == 1 for c in terms.values()) else QQ)
+
+
+def common_ring(f: DirichletPoly, g: DirichletPoly) -> tuple[DirichletPoly, DirichletPoly]:
+    """f and g with a Z operand promoted to Q when the other is over Q (text
+    without fractions parses as Z); any other pair is returned as it is."""
+    kinds = f.ring.kind, g.ring.kind
+    if kinds == ("Z", "Q"):
+        return DirichletPoly(f.items(), QQ), g
+    if kinds == ("Q", "Z"):
+        return f, DirichletPoly(g.items(), QQ)
+    return f, g
 
 
 # ---------------------------------------------------------------------------
@@ -688,13 +697,13 @@ class MultivariatePoly:
         return f"MultivariatePoly({self._terms!r})"
 
 
-def phi_map(f: DirichletPoly, cap: int = FACTOR_CAP_DEFAULT) -> MultivariatePoly:
+def phi_map(f: DirichletPoly) -> MultivariatePoly:
     """Send each term a_n/n^s, n = prod p_k^{e_k}, to the monomial with
     exponent e_k in slot k.  Exact and invertible."""
     terms = {}
     for i, c in f.items():
         exps: list[int] = []
-        for p, e in exponents(i, cap).items():
+        for p, e in exponents(i).items():
             k = slot_for_prime(p)
             while len(exps) <= k:
                 exps.append(0)

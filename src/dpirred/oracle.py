@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .core import (DirichletPoly, UnfactoredResidueError, divisors, exponents, gcd_list,
-                   max_exponents, smallest_prime_factor)
+from .core import (DirichletPoly, UnfactoredResidueError, common_ring, divisors, exponents,
+                   gcd_list, max_exponents, smallest_prime_factor)
 from .certlog import multiplicative_dependence_ratio
 
 FACTORED = "factored"
@@ -399,14 +399,10 @@ def _search_fp(fd: dict, p: int, node_cap: int):
 # public API
 
 
-def brute_force_factor(
-    f: DirichletPoly,
-    height_bound: int | None = None,
-    node_cap: int = NODE_CAP_DEFAULT,
-) -> OracleResult:
+def brute_force_factor(f: DirichletPoly, node_cap: int = NODE_CAP_DEFAULT) -> OracleResult:
     """Find a nontrivial factorization of f, or certify there is none.
 
-    Over Z the default height bound is the factor height bound derived from
+    Over Z the height bound is the factor height bound derived from
     the support (complete for any true factor), so exhausting the search is
     a certificate of irreducibility.  Over F_p enumeration is complete;
     past node_cap the search stops with NONE_WITHIN_BOUND.
@@ -451,9 +447,7 @@ def brute_force_factor(
 
     from .primevalue import gelfond_factor_height_bound
 
-    complete_bound = gelfond_factor_height_bound(work)
-    bound = complete_bound if height_bound is None else height_bound
-    bound_is_complete = bound >= complete_bound
+    bound = gelfond_factor_height_bound(work)
 
     found, exhausted, nodes = _search_z(fd, bound, node_cap)
     if found:
@@ -461,7 +455,7 @@ def brute_force_factor(
         g = DirichletPoly(gd, ring)
         h = DirichletPoly(hd, ring)
         return OracleResult(FACTORED, _verified(work, g, h), bound=bound, nodes=nodes)
-    if exhausted and bound_is_complete:
+    if exhausted:
         return OracleResult(IRREDUCIBLE_CERTIFIED, bound=bound, nodes=nodes)
     return OracleResult(NONE_WITHIN_BOUND, bound=bound, nodes=nodes)
 
@@ -510,6 +504,7 @@ def max_factor_multiplicity(f: DirichletPoly) -> int:
 def gcd_bounded(f: DirichletPoly, g: DirichletPoly) -> DirichletPoly:
     """gcd of two Dirichlet polynomials by full oracle factorization of the
     smaller-degree input and exact trial division into the other."""
+    f, g = common_ring(f, g)
     if f.ring != g.ring:
         raise ValueError("ring mismatch")
     if f.is_zero() or g.is_zero() or f.is_constant() or g.is_constant():

@@ -133,14 +133,12 @@ class LogPolygon:
                    for i, yi in self.plotted if i > m and yi < ym)
 
 
-def build_polygon(f: DirichletPoly, p: int, shift_t: int = 0) -> LogPolygon:
+def build_polygon(f: DirichletPoly, p: int) -> LogPolygon:
     """Newton log-polygon of f with respect to the prime p.
 
     Rational coefficients are replaced by the integer primitive part.  If f
     is not algebraically primitive, the polygon of its algebraically
     primitive part is built and the divided-out index gcd recorded as shift.
-    Coefficients may be twisted by i^shift_t (the change of indeterminate
-    s -> s - t), which only alters valuations.
     """
     if f.is_zero():
         raise ValueError("zero polynomial has no polygon")
@@ -151,14 +149,11 @@ def build_polygon(f: DirichletPoly, p: int, shift_t: int = 0) -> LogPolygon:
     shift = f.algebraic_shift()
     if shift > 1:
         f = DirichletPoly({i // shift: c for i, c in f.items()}, f.ring)
-    plotted = tuple((i, nu(c * i**shift_t if shift_t else c, p)) for i, c in f.items())
+    plotted = tuple((i, nu(c, p)) for i, c in f.items())
 
     hull: list[tuple[int, int]] = []
     for pt in plotted:
         while len(hull) >= 2 and _chord_cmp(hull[-2], hull[-1], pt) >= 0:
-            hull.pop()
-        while len(hull) == 1 and hull[0][0] == pt[0]:
-            # same index cannot occur; defensive
             hull.pop()
         hull.append(pt)
     edges = []
@@ -540,15 +535,3 @@ def slope_exclusions(f: DirichletPoly, p: int):
         )
     return intervals, rep
 
-
-def combination_degree_exclusions(f: DirichletPoly, g: DirichletPoly, p: int, k: int):
-    """Degree exclusions for f + p^k g when the combination has a constant
-    term: delegates to the slope exclusions of the combined polynomial.
-
-    In the classical shape (f of degree t with nonzero constant term, g of
-    degree n > t, p dividing none of the anchor coefficients, and D the
-    largest divisor of n at most sqrt(n)) this excludes factor degrees in
-    [d, D] u [n/D, n/d] whenever D^k < n/t.
-    """
-    h = f + g.scale(p**k)
-    return slope_exclusions(h, p)

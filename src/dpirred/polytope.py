@@ -313,14 +313,10 @@ def _hyperplane_separates(v: ExponentPoint, q_vertices: list[ExponentPoint]):
     return "unknown", "no-rational-normal"
 
 
-def cone_indecomposable(
-    v: ExponentPoint, q_vertices: list[ExponentPoint],
-    hyperplane_certified: bool = False,
-) -> CriterionReport:
+def cone_indecomposable(v: ExponentPoint, q_vertices: list[ExponentPoint]) -> CriterionReport:
     """Indecomposability of conv(v, Q): with Q inside a hyperplane missing
     v, the hull is indecomposable iff gcd_bar over the segments v->q is 1.
     A single q reduces to the segment criterion with no hyperplane needed.
-    The caller may assert the hyperplane configuration instead.
 
     q_vertices must be exactly the vertices of Q's hull: a point interior to
     Q can shrink the gcd and fake the certificate.  Two base points are
@@ -329,11 +325,8 @@ def cone_indecomposable(
     v = tuple(v)
     if len(q_vertices) == 1:
         d = gcd_bar(v, q_vertices[0])
-        return _indec_report(d == 1, "segment-gcd", d, ())
-    if hyperplane_certified:
-        status, how = "yes", "caller-certificate"
-    else:
-        status, how = _hyperplane_separates(v, q_vertices)
+        return _indec_report(d == 1, "segment-gcd", d)
+    status, how = _hyperplane_separates(v, q_vertices)
     if status == "no":
         return inconclusive(
             "cone-gcd", "apex lies in the affine hull of the base; "
@@ -345,16 +338,15 @@ def cone_indecomposable(
             "to proceed",
         )
     d = gcd_bar_multi((v, q) for q in q_vertices)
-    flags = ("caller-supplied-hyperplane",) if hyperplane_certified else ()
-    return _indec_report(d == 1, "cone-gcd", d, flags, hyperplane=how)
+    return _indec_report(d == 1, "cone-gcd", d, hyperplane=how)
 
 
-def _indec_report(ok: bool, rule: str, d: int, flags, **cert) -> CriterionReport:
+def _indec_report(ok: bool, rule: str, d: int, **cert) -> CriterionReport:
     if ok:
         return CriterionReport(
             report.ABSOLUTELY_IRREDUCIBLE, rule,
             "log-integrally indecomposable hull (gcd-bar 1)",
-            tuple(flags), {"gcd_bar": d, **cert},
+            certificate={"gcd_bar": d, **cert},
         )
     return inconclusive(rule, f"gcd-bar {d} > 1: indecomposability not certified",
                         gcd_bar=d, **cert)

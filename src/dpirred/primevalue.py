@@ -15,12 +15,13 @@ from fractions import Fraction
 from math import isqrt
 
 from .core import DirichletPoly, exponents, iroot, is_prime, max_exponents, smallest_prime_factor
-from .certlog import IV, ln_bounds, precision_cap_bits, PRECISION_START_BITS
-from . import report
+from .certlog import IV, ln_bounds, PRECISION_START_BITS
+from . import certlog, report
 from .report import CriterionReport, inconclusive
 
 
 MR_DETERMINISTIC_LIMIT = 3_317_044_064_679_887_385_961_981
+SCAN_Q_CAP = 64
 
 
 @dataclass(frozen=True)
@@ -70,10 +71,10 @@ def _ln_iv(x: IV, prec: int) -> IV:
     return IV(ln_bounds(x.lo, prec).lo, ln_bounds(x.hi, prec).hi)
 
 
-def _exceeds(t: int, rhs_at, cap_bits: int | None = None) -> str:
+def _exceeds(t: int, rhs_at) -> str:
     """Certified comparison t > rhs, where rhs_at(prec) returns an IV.
     Returns 'yes' | 'no' | 'undecidable'."""
-    cap = cap_bits if cap_bits is not None else precision_cap_bits()
+    cap = certlog.PRECISION_CAP_BITS
     prec = PRECISION_START_BITS
     while True:
         rhs = rhs_at(prec)
@@ -140,12 +141,7 @@ def pth_root_is_irrational(f: DirichletPoly, t: int, P: int) -> bool:
 
 
 def prime_value_test(
-    f: DirichletPoly,
-    t: int,
-    P: int,
-    ell: int = 1,
-    q: int = 1,
-    cap_bits: int | None = None,
+    f: DirichletPoly, t: int, P: int, ell: int = 1, q: int = 1
 ) -> CriterionReport:
     """Irreducibility from |f(-t)| = P^ell * q with P prime, P not dividing q.
 
@@ -196,14 +192,14 @@ def prime_value_test(
     ctx = gelfond_context(f)
     p = smallest_prime_factor(n)
     routes = []
-    sharp = _exceeds(t, threshold_rhs(n, p, ctx.effective_variables, q, ctx.height), cap_bits)
+    sharp = _exceeds(t, threshold_rhs(n, p, ctx.effective_variables, q, ctx.height))
     routes.append(("support-aware", sharp))
     if sharp != "yes":
         if ctx.height <= 1 and q == 1 and t > n * n:
             routes.append(("unit-coefficients", "yes"))
         else:
             routes.append(
-                ("closed-form", _exceeds(t, simple_rhs(n, q, ctx.height), cap_bits)))
+                ("closed-form", _exceeds(t, simple_rhs(n, q, ctx.height))))
 
     fired = [name for name, res in routes if res == "yes"]
     if fired:
@@ -225,21 +221,16 @@ def prime_value_test(
     )
 
 
-def scan_t(
-    f: DirichletPoly,
-    t_from: int,
-    t_to: int,
-    q_cap: int = 64,
-) -> tuple[int, CriterionReport] | None:
+def scan_t(f: DirichletPoly, t_from: int, t_to: int) -> tuple[int, CriterionReport] | None:
     """Convenience sweep: look for t in [t_from, t_to] whose value |f(-t)|
-    has the shape P^ell * q with q <= q_cap, and run the test there.  The
+    has the shape P^ell * q with q <= SCAN_Q_CAP, and run the test there.  The
     shape search uses exact root extraction plus a primality check that is
     heuristic for huge P; the fired criterion itself stays exact."""
     for t in range(t_from, t_to + 1):
         v = abs(f.evaluate_at_negative(t))
         if v < 2:
             continue
-        for q in range(1, q_cap + 1):
+        for q in range(1, SCAN_Q_CAP + 1):
             if v % q:
                 continue
             w = v // q

@@ -32,7 +32,7 @@ from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 from .certlog import LogProduct
-from .core import DirichletPoly, exponents
+from .core import DirichletPoly, common_ring, exponents
 from .degrees import max_multiplicity
 from . import report
 from .report import LOG_INDEPENDENCE, CriterionReport, inconclusive
@@ -300,6 +300,7 @@ def build_r_matrix(f: DirichletPoly, g: DirichletPoly, d: int) -> SparseMatrix:
     """System for f*u + g*v = 0 with deg u = (deg g)/d, deg v = (deg f)/d:
     (mn/d) rows, (m+n)/d columns; full column rank forbids common factors of
     degree >= d."""
+    f, g = common_ring(f, g)
     if f.ring != g.ring:
         raise ValueError("ring mismatch")
     m, n = f.degree, g.degree

@@ -17,11 +17,13 @@ from .ranktests import common_factor_test
 from . import report
 from .report import CriterionReport, inconclusive
 
+MOD_P_NODE_CAP = 10**6
 
-def irreducible_mod_p(F: DirichletPoly, p: int, oracle_cap: int = 10**6):
+
+def irreducible_mod_p(F: DirichletPoly, p: int):
     """Decide irreducibility of F mod p: returns (bool | None, how).
     None means undecided: the reduction is zero or constant (not
-    meaningful), or the oracle ran out of its node cap."""
+    meaningful), or the oracle ran out of MOD_P_NODE_CAP nodes."""
     Fp = F.reduce_mod(p) if F.ring.kind == "Z" else F
     if Fp.is_zero() or Fp.is_constant():
         return None, "degenerate reduction"
@@ -34,12 +36,12 @@ def irreducible_mod_p(F: DirichletPoly, p: int, oracle_cap: int = 10**6):
     quick = quick_irreducibility(Fp)
     if quick.verdict == report.IRREDUCIBLE:
         return True, quick.rule
-    res = brute_force_factor(Fp, node_cap=oracle_cap)
+    res = brute_force_factor(Fp, node_cap=MOD_P_NODE_CAP)
     if res.status == FACTORED:
         return False, "oracle factorization mod p"
     if res.status == IRREDUCIBLE_CERTIFIED:
         return True, "oracle exhaustion mod p"
-    return None, f"oracle node cap {oracle_cap} reached mod p"
+    return None, f"oracle node cap {MOD_P_NODE_CAP} reached mod p"
 
 
 def coprime_mod_p(F: DirichletPoly, G: DirichletPoly, p: int):

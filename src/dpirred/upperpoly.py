@@ -63,9 +63,7 @@ class UpperLogPolygon:
         return len(self.edges) == 1
 
 
-def build_upper_polygon(
-    f: MultiDirichletPoly, outer: str, inner: str, cap_bits=None
-) -> UpperLogPolygon:
+def build_upper_polygon(f: MultiDirichletPoly, outer: str, inner: str) -> UpperLogPolygon:
     """Upper hull of (log i, log deg_inner a_i) over the outer-indeterminate
     coefficients a_i.  Raises HullUndecidable when a comparison cannot be
     certified at the precision cap."""
@@ -84,7 +82,7 @@ def build_upper_polygon(
     hull: list[tuple[int, int]] = []
     for pt in plotted:
         while len(hull) >= 2:
-            s = log_orientation(hull[-2], hull[-1], pt, cap_bits)
+            s = log_orientation(hull[-2], hull[-1], pt)
             if s == CMP_UNDECIDABLE:
                 raise HullUndecidable(tuple(hull))
             if s in (POSITIVE, ZERO):  # middle point on or below the chord
@@ -117,22 +115,18 @@ def upper_vector_system(poly: UpperLogPolygon):
     ]
 
 
-def _slope_sign(v, w, cap_bits) -> str:
+def _slope_sign(v, w) -> str:
     """Sign of slope(v) - slope(w) for slopes log(yr)/log(xr), xr > 1,
     through the comparator: the sign of ln(yv) ln(xw) - ln(yw) ln(xv)."""
-    return LogProduct().add_product(v[1], w[0]).add_product(w[1], v[0], -1).compare(cap_bits)
+    return LogProduct().add_product(v[1], w[0]).add_product(w[1], v[0], -1).compare()
 
 
-def upper_slopes_equal(v1, v2, cap_bits=None) -> bool:
-    return _slope_sign(v1, v2, cap_bits) == ZERO
-
-
-def merge_upper_vector_systems(a, b, cap_bits=None):
+def merge_upper_vector_systems(a, b):
     vecs = list(a) + list(b)
     merged = []
     for v in vecs:
         for idx, w in enumerate(merged):
-            if upper_slopes_equal(v, w, cap_bits):
+            if _slope_sign(v, w) == ZERO:
                 merged[idx] = (w[0] * v[0], w[1] * v[1])
                 break
         else:
@@ -143,16 +137,14 @@ def merge_upper_vector_systems(a, b, cap_bits=None):
     for v in merged:
         pos = len(out)
         for i, w in enumerate(out):
-            if _slope_sign(v, w, cap_bits) == POSITIVE:
+            if _slope_sign(v, w) == POSITIVE:
                 pos = i
                 break
         out.insert(pos, v)
     return out
 
 
-def stepanov_schmidt_test(
-    f: MultiDirichletPoly, outer: str, inner: str, cap_bits=None
-) -> CriterionReport:
+def stepanov_schmidt_test(f: MultiDirichletPoly, outer: str, inner: str) -> CriterionReport:
     """Irreducibility when the upper polygon is one edge with no interior
     log-integral point: deg_inner a_m != deg_inner a_n, every interior
     coefficient degree sits strictly below the endpoint chord, the two
@@ -179,7 +171,7 @@ def stepanov_schmidt_test(
             lp.add_product(Fraction(di), Fraction(n, m))
             lp.add_product(Fraction(dm), Fraction(n, i), -1)
             lp.add_product(Fraction(dn), Fraction(i, m), -1)
-            s = lp.compare(cap_bits)
+            s = lp.compare()
             if s == CMP_UNDECIDABLE:
                 return CriterionReport(
                     report.UNDECIDABLE, "upper-polygon",

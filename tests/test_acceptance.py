@@ -415,10 +415,10 @@ def test_criterion_09_gelfond_bound():
 
 def test_criterion_10_prime_value_thresholds():
     f = DirichletPoly({1: 1, 4: 1})
-    rep = prime_value_test(f, 8, 65537, cap_bits=256)
+    rep = prime_value_test(f, 8, 65537)
     assert rep.verdict == report.IRREDUCIBLE
     g = DirichletPoly({1: -1, 4: 1})
-    rep_fail = prime_value_test(g, 1, 3, cap_bits=256)
+    rep_fail = prime_value_test(g, 1, 3)
     assert rep_fail.verdict == report.INCONCLUSIVE
     _ok(10, "value 65537 at t = 8 clears the threshold, value 3 at t = 1 fails it")
 

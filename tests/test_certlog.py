@@ -12,6 +12,7 @@ import random
 from fractions import Fraction
 from math import lcm
 
+from dpirred import certlog
 from dpirred.certlog import (
     IV,
     LogProduct,
@@ -144,14 +145,16 @@ def test_scaled_interval_is_reference_times_positive_integer():
             assert (lo, hi) == (ref.lo * scale, ref.hi * scale), (lp, prec)
 
 
-def test_compare_matches_reference_at_every_cap():
+def test_compare_matches_reference_at_every_cap(monkeypatch):
     rng = random.Random(127)
     forms = seeded_forms(rng, 200) + near_ties()
     escalated = capped = 0
     for lp in forms:
         for cap in CAPS:
-            assert lp.compare(cap) == reference_compare(lp, cap), (lp, cap)
-        full = lp.compare(4096)
+            monkeypatch.setattr(certlog, "PRECISION_CAP_BITS", cap)
+            assert lp.compare() == reference_compare(lp, cap), (lp, cap)
+        monkeypatch.setattr(certlog, "PRECISION_CAP_BITS", 4096)
+        full = lp.compare()
         escalated += full != UNDECIDABLE and reference_interval(lp, 64).sign() is None
         capped += full == UNDECIDABLE
     # the near ties reach the escalation steps and the cap

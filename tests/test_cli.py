@@ -1,8 +1,8 @@
 import json
-import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -159,20 +159,26 @@ def test_rank_subcommand(capsys):
     assert obj["criterion"]["verdict"] == "not-square-free"
 
 
+def test_z_operand_meets_q_operand(capsys):
+    # text without fractions parses as Z; paired with a Q operand it is
+    # promoted to Q: (1 + 3/2^s)(1 + 2/3^s) against (1/2)(1 + 3/2^s)(1 - 2/5^s)
+    code, out = run_cli(capsys, "oracle", "gcd", "1 + 3/2^s + 2/3^s + 6/6^s",
+                        "--g", "(1/2) + (3/2)/2^s - 1/5^s - 3/10^s", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["gcd"] == "1 + 3/2^s"
+    code, out = run_cli(capsys, "rank", "1 + 1/2^s", "--matrix", "R", "--g", "(1/2) + 1/2^s",
+                        "--format", "json")
+    assert code == 0
+    criterion = json.loads(out)["criterion"]
+    assert criterion["verdict"] == "no-common-factor"
+    assert criterion["certificate"]["gcd_degree"] == 1
+
+
 def test_file_input(tmp_path, capsys):
     path = tmp_path / "f.json"
     path.write_text('{"ring":"Z","terms":[[1,1],[2,1],[3,1],[4,1]]}')
     code, out = run_cli(capsys, "analyze", f"@{path}", "--format", "json")
     assert code == 0
-
-
-def test_env_precision_cap(capsys, monkeypatch):
-    monkeypatch.setenv("DPIRRED_PRECISION_CAP_BITS", "64")
-    from dpirred.certlog import precision_cap_bits
-
-    assert precision_cap_bits() == 64
-    monkeypatch.delenv("DPIRRED_PRECISION_CAP_BITS")
-    assert precision_cap_bits() == 4096
 
 
 def test_console_script_entry():
@@ -183,19 +189,51 @@ def test_console_script_entry():
     assert "irreducible" in proc.stdout
 
 
-@pytest.mark.parametrize("text", [
+MALFORMED_JSON = [
     '{"ring":"Q","terms":[[1,[1,0]],[2,1]]}',
     '{"ring":"Fp","terms":[[1,1]]}',
     '{"vars":["s","t"],"terms":[{"indices":[1,1],"coeff":[1,0]},{"indices":[2,3],"coeff":1}]}',
     '{"vars":["s","t"],"terms":[{"indices":[2,3]}]}',
     '{"terms":[[1,1]],"vars":"st"}',
-])
-def test_malformed_json_exits_one_with_one_line(capsys, text):
-    assert main(["analyze", text]) == 1
+]
+# a required argument left out, whether argparse or the subcommand notices
+MISSING_ARGUMENT = [
+    ["analyze"],
+    ["polygon", "1 + 1/2^s"],
+    ["rank", "1 + 1/2^s", "--matrix", "R"],
+    ["oracle", "factor"],
+    ["oracle", "gcd"],
+    ["oracle", "gcd", "1 + 1/2^s"],
+    ["oracle", "segment"],
+    ["prime-value", "1 + 1/2^s"],
+]
+
+
+@pytest.mark.parametrize(
+    "argv", [["analyze", text] for text in MALFORMED_JSON] + MISSING_ARGUMENT,
+    ids=MALFORMED_JSON + [" ".join(argv) for argv in MISSING_ARGUMENT])
+def test_malformed_json_exits_one_with_one_line(capsys, argv):
+    assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.strip().splitlines()) == 1
     assert captured.err.startswith("error: ")
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: dpirred analyze")
+
+
+def test_no_environment_knobs():
+    # every setting of the package is a module constant, never read from
+    # the environment
+    src = Path(__file__).resolve().parent.parent / "src" / "dpirred"
+    for path in sorted(src.glob("*.py")):
+        text = path.read_text()
+        assert "os.environ" not in text and "getenv" not in text, path.name
 
 
 @pytest.mark.parametrize("text", ["1/5^s", "3/5^s", "1/6^s"])

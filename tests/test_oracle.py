@@ -23,7 +23,6 @@ from dpirred.oracle import (
     gcd_bounded,
     max_factor_multiplicity,
 )
-from dpirred.primevalue import gelfond_factor_height_bound
 
 FIG1 = DirichletPoly({4: 4, 6: 4, 8: 2, 9: 1, 10: 4, 12: 1, 15: 2})
 # (1/2)(1 + 3/2^s)(1 + 2/3^s) over Q
@@ -151,21 +150,6 @@ def test_wide_shape_product_found():
     assert res.status == FACTORED
     u, v = res.factors
     assert u * v == f
-
-
-def test_gelfond_bound_reruns_do_not_change_certification():
-    rng = random.Random(43)
-    checked = 0
-    while checked < 40:
-        f = _rand(rng)
-        if f.is_constant() or f.is_zero():
-            continue
-        res = brute_force_factor(f)
-        if res.status != IRREDUCIBLE_CERTIFIED:
-            continue
-        bigger = brute_force_factor(f, height_bound=gelfond_factor_height_bound(f) + 1)
-        assert bigger.status == IRREDUCIBLE_CERTIFIED
-        checked += 1
 
 
 def test_completeness_f2_f3_against_multiplication_tables():

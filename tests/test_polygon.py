@@ -13,7 +13,6 @@ from dpirred.polygon import (
     build_polygon,
     candidate_relative_degrees,
     lone_slope_combination_test,
-    combination_degree_exclusions,
     dumas_test,
     slope_exclusions,
     merge_vector_systems,
@@ -292,7 +291,7 @@ def test_combination_degree_exclusion_intervals():
     # f of degree t = 2 with constant term, g of degree 12: h = f + p g
     f = DirichletPoly({1: 1, 2: 1})
     g = DirichletPoly({1: 1, 12: 1})
-    intervals, rep = combination_degree_exclusions(f, g, 5, 1)
+    intervals, rep = slope_exclusions(f + g.scale(5), 5)
     lohi = {(iv.lo, iv.hi) for iv in intervals}
     assert (Fraction(3), Fraction(3)) in lohi or any(
         iv.lo <= 3 <= iv.hi for iv in intervals)

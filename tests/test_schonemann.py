@@ -1,5 +1,3 @@
-import functools
-
 import pytest
 
 from dpirred.core import DirichletPoly
@@ -30,10 +28,9 @@ def test_oracle_budget_is_not_irreducibility(monkeypatch):
     F = DirichletPoly({1: 1, 2: 1, 6: 1})
     G = DirichletPoly({1: 1})
     assert irreducible_mod_p(F, 3) == (True, "oracle exhaustion mod p")
-    assert irreducible_mod_p(F, 3, oracle_cap=1)[0] is None
     assert schonemann_test(F, G, 1, 3, 1).verdict == report.IRREDUCIBLE
-    monkeypatch.setattr(schonemann, "irreducible_mod_p",
-                        functools.partial(irreducible_mod_p, oracle_cap=1))
+    monkeypatch.setattr(schonemann, "MOD_P_NODE_CAP", 1)
+    assert irreducible_mod_p(F, 3) == (None, "oracle node cap 1 reached mod p")
     assert schonemann_test(F, G, 1, 3, 1).verdict == report.INCONCLUSIVE
 
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from dpirred import certlog
 from dpirred.certlog import (
     LogProduct,
     NEGATIVE,
@@ -122,12 +123,14 @@ def test_chord_with_common_inner_degree_is_inconclusive():
     assert analyze_multivariate(f).verdict == report.INCONCLUSIVE
 
 
-def test_near_tie_low_cap_is_undecidable_never_wrong():
+def test_near_tie_low_cap_is_undecidable_never_wrong(monkeypatch):
     # ln2*ln3 vs a nearby product with distinct canonical monomials
     lp = LogProduct()
     lp.add_product(2, 3, 10**6)
     lp.add_product(2, 2, -1571799)  # 10^6*ln3/ln2 ~ 1584962.5; keep it close
-    out = lp.compare(cap_bits=8)
+    with monkeypatch.context() as m:
+        m.setattr(certlog, "PRECISION_CAP_BITS", 8)
+        out = lp.compare()
     assert out in (POSITIVE, NEGATIVE, UNDECIDABLE)
     exact = lp.compare()
     assert exact in (POSITIVE, NEGATIVE)
@@ -135,11 +138,12 @@ def test_near_tie_low_cap_is_undecidable_never_wrong():
         assert out == exact
 
 
-def test_forced_undecidable_at_tiny_cap():
+def test_forced_undecidable_at_tiny_cap(monkeypatch):
     lp = LogProduct()
     lp.add_product(2, 3, 10**40)
     lp.add_product(2, 2, -14426950408889634073)  # ln3/ln2 * 10^19, scaled
-    assert lp.compare(cap_bits=4) in (UNDECIDABLE, POSITIVE, NEGATIVE)
+    monkeypatch.setattr(certlog, "PRECISION_CAP_BITS", 4)
+    assert lp.compare() in (UNDECIDABLE, POSITIVE, NEGATIVE)
 
 
 def test_example13_upper_polygon():
