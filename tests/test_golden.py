@@ -5,27 +5,34 @@ benchmark's CLI examples and every early stop of the report loop,
 that exercise the certified log comparator, `dpirred polygon --format
 json` on sloped edges with several segments, and `dpirred prime-value`,
 `dpirred schonemann` and `dpirred oracle --format json` on one case of each
-route, compared byte for byte with committed snapshots.
+route, compared byte for byte with committed snapshots.  The benchmark
+corpus (univariate-zq, univariate-fp, bivariate and oracle at seeds 1-2) is
+pinned by digest: one of the input texts, and one per input of its reports
+or oracle result.
 
 Regenerate every snapshot after an intended output change with
     PYTHONPATH=src python tests/test_golden.py
 and review the diff of tests/golden/analyze.json, tests/golden/rank.json,
-tests/golden/comparator.json, tests/golden/polygon.json and
-tests/golden/subcommands.json.
+tests/golden/comparator.json, tests/golden/polygon.json,
+tests/golden/subcommands.json and tests/golden/corpus.json.
 """
 
 import contextlib
+import hashlib
 import io
 import json
+import sys
 from pathlib import Path
 
-from dpirred.cli import main
+from dpirred.cli import _report_obj, main
 
 SNAPSHOT = Path(__file__).with_name("golden") / "analyze.json"
 RANK_SNAPSHOT = Path(__file__).with_name("golden") / "rank.json"
 COMPARATOR_SNAPSHOT = Path(__file__).with_name("golden") / "comparator.json"
 POLYGON_SNAPSHOT = Path(__file__).with_name("golden") / "polygon.json"
 SUBCOMMAND_SNAPSHOT = Path(__file__).with_name("golden") / "subcommands.json"
+CORPUS_SNAPSHOT = Path(__file__).with_name("golden") / "corpus.json"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 F2_SQUARE = '{"ring":"Fp","p":2,"terms":[[1,1],[4,1]]}'
 F3_SQUARE = '{"ring":"Fp","p":3,"terms":[[1,1],[3,2],[9,1]]}'
@@ -201,6 +208,56 @@ def test_subcommand_json_matches_snapshot():
     assert [run_argv(argv) for argv in SUBCOMMAND_CASES] == expected
 
 
+CORPUS_WORKLOADS = ("univariate-zq", "univariate-fp", "bivariate", "oracle")
+CORPUS_SEEDS = (1, 2)
+
+
+def _digest(obj, size=12) -> str:
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()[:size]
+
+
+def _outcome_obj(res) -> dict:
+    if hasattr(res, "reports"):  # an Analysis
+        return {"input": res.input_text, "verdict": res.verdict,
+                "reports": [_report_obj(r) for r in res.reports]}
+    return {"status": res.status, "bound": res.bound, "nodes": res.nodes,
+            "factors": [g.text() for g in res.factors] if res.factors else None}
+
+
+def corpus_run() -> dict:
+    """The benchmark's inputs, each run the way its workload calls it: one
+    digest of every input text, and one short digest per input of its
+    sorted-JSON reports or oracle result."""
+    sys.path.insert(0, str(PERFBENCH))
+    write_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        from workloads import WORKLOADS
+    finally:
+        sys.dont_write_bytecode = write_bytecode
+        sys.path.remove(str(PERFBENCH))
+    texts, digests = [], {}
+    for name in CORPUS_WORKLOADS:
+        wl = WORKLOADS[name]
+        for seed in CORPUS_SEEDS:
+            cases = wl.cases(seed)
+            texts.append([name, seed, [case.text for case in cases]])
+            digests[f"{name} {seed}"] = [_digest(_outcome_obj(wl.call(case))) for case in cases]
+    return {"inputs": _digest(texts, 64), "digests": digests, "texts": texts}
+
+
+def test_corpus_matches_snapshot():
+    expected = json.loads(CORPUS_SNAPSHOT.read_text())
+    got = corpus_run()
+    assert got["inputs"] == expected["inputs"], "the benchmark's corpus generator changed"
+    changed = []
+    for name, seed, run_texts in got["texts"]:
+        run = f"{name} {seed}"
+        pairs = zip(run_texts, got["digests"][run], expected["digests"][run])
+        changed += [f"{run} #{k}: {text}" for k, (text, a, b) in enumerate(pairs) if a != b]
+    assert not changed, f"{len(changed)} inputs changed, first: " + "; ".join(changed[:10])
+
+
 if __name__ == "__main__":
     SNAPSHOT.write_text(json.dumps([run(args) for args in CASES], indent=1) + "\n")
     RANK_SNAPSHOT.write_text(
@@ -210,3 +267,6 @@ if __name__ == "__main__":
         json.dumps([run(args, "polygon") for args in POLYGON_CASES], indent=1) + "\n")
     SUBCOMMAND_SNAPSHOT.write_text(
         json.dumps([run_argv(argv) for argv in SUBCOMMAND_CASES], indent=1) + "\n")
+    corpus = corpus_run()
+    CORPUS_SNAPSHOT.write_text(json.dumps(
+        {"inputs": corpus["inputs"], "digests": corpus["digests"]}, indent=1) + "\n")
