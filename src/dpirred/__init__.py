@@ -3,7 +3,7 @@ log-polygon and log-polytope irreducibility criteria, square-free and
 multiplicity bounds, matrix-rank tests, prime-value criteria, and a
 brute-force oracle for validation."""
 
-from .core import DirichletPoly, GF, QQ, Ring, ZZ, factor_integer, phi_inverse, phi_map
+from .core import DirichletPoly, GF, QQ, Ring, ZZ, factor_integer
 from .report import CriterionReport
 
 __all__ = [
@@ -13,8 +13,6 @@ __all__ = [
     "QQ",
     "GF",
     "factor_integer",
-    "phi_map",
-    "phi_inverse",
     "CriterionReport",
 ]
 

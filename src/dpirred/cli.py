@@ -12,7 +12,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .core import DirichletPoly, UnfactoredResidueError
+from .core import DirichletPoly, UnfactoredResidueError, is_prime
 from .multivariate import MultiDirichletPoly
 from . import report
 
@@ -88,6 +88,23 @@ def _require(args, *names: str):
     missing = [n for n in names if getattr(args, n.lstrip("-")) is None]
     if missing:
         raise ValueError(f"the following arguments are required: {', '.join(missing)}")
+
+
+def _int_type(accept, what: str):
+    """An argparse type: an int for which accept holds, else one usage error."""
+    def parse(text: str) -> int:
+        try:
+            if accept(n := int(text)):
+                return n
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+
+    return parse
+
+
+_prime = _int_type(is_prime, "a prime")
+_positive_int = _int_type(lambda n: n >= 1, "a positive integer")
 
 
 def _verdict_exit(verdict: str) -> int:
@@ -207,8 +224,7 @@ def cmd_upper_polygon(args) -> int:
 
     f = _load_input(args.input)
     if not isinstance(f, MultiDirichletPoly):
-        print("upper-polygon needs a multivariate JSON input", file=sys.stderr)
-        return EXIT_ERROR
+        raise ValueError("upper-polygon needs a multivariate JSON input")
     try:
         poly = build_upper_polygon(f, args.outer, args.inner)
     except HullUndecidable as e:
@@ -236,8 +252,7 @@ def cmd_polytope(args) -> int:
 
     f = _load_input(args.input)
     if not isinstance(f, MultiDirichletPoly):
-        print("polytope needs a multivariate JSON input", file=sys.stderr)
-        return EXIT_ERROR
+        raise ValueError("polytope needs a multivariate JSON input")
     pt = LogPolytope.of(f)
     rep = polytope_irreducibility(f).gated(args.assume_log_independence)
     obj = {
@@ -288,24 +303,21 @@ def cmd_rank(args) -> int:
         }
         _emit(obj, args.format)
         return _verdict_exit(rep.verdict)
-    if args.matrix == "D":
-        from .ranktests import derivative_rank_test
+    from .ranktests import derivative_rank_test
 
-        rep = derivative_rank_test(f, args.k, args.d).gated(args.assume_log_independence)
-        rows = build_d_matrix(f, args.k, args.d)
-        obj = {
-            "matrix": "D",
-            "rows": len(rows),
-            "cols": 2 * f.degree // args.d,
-            "entries": [
-                [i, j, repr(v)] for i, row in enumerate(rows) for j, v in sorted(row.items())
-            ],
-            "criterion": _report_obj(rep),
-        }
-        _emit(obj, args.format)
-        return _verdict_exit(rep.verdict)
-    print(f"unknown matrix kind {args.matrix}", file=sys.stderr)
-    return EXIT_ERROR
+    rep = derivative_rank_test(f, args.k, args.d).gated(args.assume_log_independence)
+    rows = build_d_matrix(f, args.k, args.d)
+    obj = {
+        "matrix": "D",
+        "rows": len(rows),
+        "cols": 2 * f.degree // args.d,
+        "entries": [
+            [i, j, repr(v)] for i, row in enumerate(rows) for j, v in sorted(row.items())
+        ],
+        "criterion": _report_obj(rep),
+    }
+    _emit(obj, args.format)
+    return _verdict_exit(rep.verdict)
 
 
 def cmd_prime_value(args) -> int:
@@ -338,11 +350,8 @@ def cmd_schonemann(args) -> int:
                               witness_scan=args.scan if args.variant == "value" else 0)
     elif args.variant == "pq":
         rep = pq_schonemann_test(F, G, args.n, args.p, args.q)
-    elif args.variant == "prime-power":
-        rep = prime_power_value_test([F], [args.n], args.m, G, args.p, args.a)
     else:
-        print(f"unknown variant {args.variant}", file=sys.stderr)
-        return EXIT_ERROR
+        rep = prime_power_value_test([F], [args.n], args.m, G, args.p, args.a)
     _emit(_report_obj(rep), args.format)
     return _verdict_exit(rep.verdict)
 
@@ -366,14 +375,10 @@ def cmd_oracle(args) -> int:
         g = _load_input(args.g)
         _emit({"gcd": gcd_bounded(f, g).text()}, args.format)
         return EXIT_DEFINITIVE
-    if args.action == "segment":
-        _require(args, "--x1", "--y1", "--x2", "--y2")
-        x1, y1, x2, y2 = args.x1, args.y1, args.x2, args.y2
-        pts = enumerate_segment_points_brute(x1, y1, x2, y2)
-        _emit({"interior_points": [list(p) for p in pts]}, args.format)
-        return EXIT_DEFINITIVE
-    print(f"unknown oracle action {args.action}", file=sys.stderr)
-    return EXIT_ERROR
+    _require(args, "--x1", "--y1", "--x2", "--y2")
+    pts = enumerate_segment_points_brute(args.x1, args.y1, args.x2, args.y2)
+    _emit({"interior_points": [list(p) for p in pts]}, args.format)
+    return EXIT_DEFINITIVE
 
 
 class _Parser(argparse.ArgumentParser):
@@ -399,14 +404,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all", action="store_true", help="run every criterion")
     p.add_argument("--oracle", action="store_true", help="append the brute-force oracle")
     p.add_argument("--scan-t", default=None, help="prime-value witness scan, e.g. 1..16")
-    p.add_argument("--prime", "-p", type=int, action="append",
+    p.add_argument("--prime", "-p", type=_prime, action="append",
                    help="attach the polygon at this prime to the report (repeatable)")
     common(p)
     p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("polygon", help="Newton log-polygon at a prime")
     p.add_argument("input")
-    p.add_argument("--prime", "-p", type=int, required=True)
+    p.add_argument("--prime", "-p", type=_prime, required=True)
     common(p)
     p.set_defaults(fn=cmd_polygon)
 
@@ -425,9 +430,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rank", help="rank-test matrices")
     p.add_argument("input")
     p.add_argument("--matrix", choices=("A", "B", "R", "D"), required=True)
-    p.add_argument("--p", type=int, default=2)
+    p.add_argument("--p", type=_prime, default=2)
     p.add_argument("--k", type=int, default=2)
-    p.add_argument("--d", type=int, default=1)
+    p.add_argument("--d", type=_positive_int, default=1)
     p.add_argument("--g", help="second polynomial for the R matrix")
     common(p)
     p.set_defaults(fn=cmd_rank)
@@ -460,9 +465,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=("factor", "gcd", "segment"))
     p.add_argument("input", nargs="?")
     p.add_argument("--g")
-    p.add_argument("--x1", type=int)
+    p.add_argument("--x1", type=_positive_int)
     p.add_argument("--y1", type=int)
-    p.add_argument("--x2", type=int)
+    p.add_argument("--x2", type=_positive_int)
     p.add_argument("--y2", type=int)
     common(p)
     p.set_defaults(fn=cmd_oracle)

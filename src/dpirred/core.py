@@ -190,9 +190,11 @@ def iroot(x: int, k: int) -> int | None:
 
 
 def valuation(n: int, p: int) -> int:
-    """nu_p(n) for n != 0."""
+    """nu_p(n) for n != 0 and p >= 2."""
     if n == 0:
         raise ValueError("valuation of 0 is infinite")
+    if p < 2:
+        raise ValueError(f"valuation needs p >= 2, got {p}")
     n = abs(n)
     v = 0
     while n % p == 0:
@@ -259,13 +261,95 @@ def gcd_list(xs) -> int:
 # Dirichlet polynomials
 
 
-class DirichletPoly:
-    """Sparse Dirichlet polynomial over Z, Q, or F_p.
+class SparsePoly:
+    """Sparse polynomial over Z, Q or F_p, keyed by index: what the one-
+    and many-variable Dirichlet classes share.  Subclasses give the index
+    product `_times`, the index `ONE` of the constant term and `_like(terms)`,
+    a new polynomial of the same kind; one with several variables adds them
+    to `_frame()`, what two equal polynomials or two operands must share.
 
     Immutable after construction; no zero coefficients are stored.
     """
 
     __slots__ = ("ring", "_terms")
+
+    def __setattr__(self, *a):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @property
+    def terms(self) -> dict:
+        return dict(self._terms)
+
+    def items(self):
+        return self._terms.items()
+
+    def support(self) -> list:
+        return list(self._terms)
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def _frame(self):
+        return self.ring
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, type(self))
+            and self._frame() == other._frame()
+            and self._terms == other._terms
+        )
+
+    def __hash__(self):
+        return hash((self._frame(), tuple(self._terms.items())))
+
+    def _check(self, other: "SparsePoly"):
+        if self._frame() != other._frame():
+            if self.ring != other.ring:
+                raise ValueError(f"ring mismatch: {self.ring} vs {other.ring}")
+            raise ValueError(f"variable mismatch: {self!r} vs {other!r}")
+
+    def __add__(self, other):
+        self._check(other)
+        add = self.ring.add
+        t = dict(self._terms)
+        for i, c in other._terms.items():
+            t[i] = add(t.get(i, 0), c)
+        return self._like(t)
+
+    def __neg__(self):
+        neg = self.ring.neg
+        return self._like({i: neg(c) for i, c in self._terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        self._check(other)
+        add, mul, times = self.ring.add, self.ring.mul, self._times
+        acc: dict = {}
+        for i, a in self._terms.items():
+            for j, b in other._terms.items():
+                k = times(i, j)
+                acc[k] = add(acc.get(k, 0), mul(a, b))
+        return self._like(acc)
+
+    def scale(self, c):
+        c = self.ring.coerce(c)
+        mul = self.ring.mul
+        return self._like({i: mul(a, c) for i, a in self._terms.items()})
+
+    def pow(self, e: int):
+        r = self._like({self.ONE: 1})
+        for _ in range(e):
+            r = r * self
+        return r
+
+
+class DirichletPoly(SparsePoly):
+    """Sparse Dirichlet polynomial over Z, Q, or F_p, keyed by int index."""
+
+    __slots__ = ()
+    ONE = 1
 
     def __init__(self, terms, ring: Ring = ZZ):
         t = {}
@@ -283,26 +367,14 @@ class DirichletPoly:
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "_terms", dict(sorted(t.items())))
 
-    def __setattr__(self, *a):
-        raise AttributeError("DirichletPoly is immutable")
+    @staticmethod
+    def _times(i: int, j: int) -> int:
+        return i * j
+
+    def _like(self, terms) -> "DirichletPoly":
+        return DirichletPoly(terms, self.ring)
 
     # -- basic views ------------------------------------------------------
-
-    @property
-    def terms(self) -> dict:
-        return dict(self._terms)
-
-    def items(self):
-        return self._terms.items()
-
-    def support(self) -> list[int]:
-        return list(self._terms)
-
-    def coeff(self, i: int):
-        return self._terms.get(i, self.ring.coerce(0))
-
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def is_constant(self) -> bool:
         return not self._terms or self._terms.keys() == {1}
@@ -324,56 +396,8 @@ class DirichletPoly:
     def min_coeff(self):
         return self._terms[self.deg_min]
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, DirichletPoly)
-            and self.ring == other.ring
-            and self._terms == other._terms
-        )
-
-    def __hash__(self):
-        return hash((self.ring, tuple(self._terms.items())))
-
     def __repr__(self):
         return f"DirichletPoly({self.text()!r}, ring={self.ring})"
-
-    # -- ring operations --------------------------------------------------
-
-    def _check_ring(self, other: "DirichletPoly"):
-        if self.ring != other.ring:
-            raise ValueError(f"ring mismatch: {self.ring} vs {other.ring}")
-
-    def __add__(self, other: "DirichletPoly") -> "DirichletPoly":
-        self._check_ring(other)
-        t = dict(self._terms)
-        for i, c in other._terms.items():
-            t[i] = self.ring.add(t.get(i, 0), c)
-        return DirichletPoly(t, self.ring)
-
-    def __neg__(self) -> "DirichletPoly":
-        return DirichletPoly({i: self.ring.neg(c) for i, c in self._terms.items()}, self.ring)
-
-    def __sub__(self, other: "DirichletPoly") -> "DirichletPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "DirichletPoly") -> "DirichletPoly":
-        self._check_ring(other)
-        acc: dict[int, object] = {}
-        for i, a in self._terms.items():
-            for j, b in other._terms.items():
-                k = i * j
-                acc[k] = self.ring.add(acc.get(k, 0), self.ring.mul(a, b))
-        return DirichletPoly(acc, self.ring)
-
-    def scale(self, c) -> "DirichletPoly":
-        c = self.ring.coerce(c)
-        return DirichletPoly({i: self.ring.mul(a, c) for i, a in self._terms.items()}, self.ring)
-
-    def pow(self, e: int) -> "DirichletPoly":
-        r = DirichletPoly({1: 1}, self.ring)
-        for _ in range(e):
-            r = r * self
-        return r
 
     # -- structure --------------------------------------------------------
 
@@ -611,112 +635,3 @@ def _parse_term(body: str) -> tuple[Fraction, int]:
         return Fraction(body.replace("(", "").replace(")", "").strip()), 1
     except ValueError:
         raise ValueError(f"cannot parse term {body!r}") from None
-
-
-# ---------------------------------------------------------------------------
-# the phi map into multivariate polynomials (one slot per prime)
-
-_PRIMES_BY_SLOT: list[int] = [2]
-
-
-def prime_for_slot(k: int) -> int:
-    while len(_PRIMES_BY_SLOT) <= k:
-        c = _PRIMES_BY_SLOT[-1] + 1
-        while not is_prime(c):
-            c += 1
-        _PRIMES_BY_SLOT.append(c)
-    return _PRIMES_BY_SLOT[k]
-
-
-def slot_for_prime(p: int) -> int:
-    k = 0
-    while True:
-        q = prime_for_slot(k)
-        if q == p:
-            return k
-        if q > p:
-            raise ValueError(f"{p} is not prime")
-        k += 1
-
-
-class MultivariatePoly:
-    """Image of a Dirichlet polynomial under the map sending the term
-    1/p_k^s to the k-th indeterminate.  Exponent vectors carry no trailing
-    zeros; the empty vector is the constant monomial."""
-
-    __slots__ = ("ring", "_terms")
-
-    def __init__(self, terms, ring: Ring = ZZ):
-        t = {}
-        items = terms.items() if isinstance(terms, dict) else terms
-        for exps, c in items:
-            exps = tuple(exps)
-            while exps and exps[-1] == 0:
-                exps = exps[:-1]
-            if any(e < 0 for e in exps):
-                raise ValueError("negative exponent")
-            c = ring.coerce(c)
-            if c == 0:
-                continue
-            t[exps] = ring.add(t.get(exps, 0), c)
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "_terms", {k: v for k, v in sorted(t.items()) if v != 0})
-
-    def __setattr__(self, *a):
-        raise AttributeError("MultivariatePoly is immutable")
-
-    @property
-    def terms(self):
-        return dict(self._terms)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, MultivariatePoly)
-            and self.ring == other.ring
-            and self._terms == other._terms
-        )
-
-    def __hash__(self):
-        return hash((self.ring, tuple(self._terms.items())))
-
-    def __mul__(self, other: "MultivariatePoly") -> "MultivariatePoly":
-        if self.ring != other.ring:
-            raise ValueError("ring mismatch")
-        acc = {}
-        for e1, a in self._terms.items():
-            for e2, b in other._terms.items():
-                n = max(len(e1), len(e2))
-                e = tuple(
-                    (e1[k] if k < len(e1) else 0) + (e2[k] if k < len(e2) else 0)
-                    for k in range(n)
-                )
-                acc[e] = self.ring.add(acc.get(e, 0), self.ring.mul(a, b))
-        return MultivariatePoly(acc, self.ring)
-
-    def __repr__(self):
-        return f"MultivariatePoly({self._terms!r})"
-
-
-def phi_map(f: DirichletPoly) -> MultivariatePoly:
-    """Send each term a_n/n^s, n = prod p_k^{e_k}, to the monomial with
-    exponent e_k in slot k.  Exact and invertible."""
-    terms = {}
-    for i, c in f.items():
-        exps: list[int] = []
-        for p, e in exponents(i).items():
-            k = slot_for_prime(p)
-            while len(exps) <= k:
-                exps.append(0)
-            exps[k] = e
-        terms[tuple(exps)] = c
-    return MultivariatePoly(terms, f.ring)
-
-
-def phi_inverse(F: MultivariatePoly) -> DirichletPoly:
-    terms = {}
-    for exps, c in F.terms.items():
-        n = 1
-        for k, e in enumerate(exps):
-            n *= prime_for_slot(k) ** e
-        terms[n] = c
-    return DirichletPoly(terms, F.ring)

@@ -10,11 +10,11 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .core import ZZ, Ring, gcd_list, json_coeff, json_int, json_object
+from .core import ZZ, Ring, SparsePoly, gcd_list, json_coeff, json_int, json_object
 
 
-class MultiDirichletPoly:
-    __slots__ = ("ring", "vars", "_terms")
+class MultiDirichletPoly(SparsePoly):
+    __slots__ = ("vars",)
 
     def __init__(self, terms, variables, ring: Ring = ZZ):
         variables = tuple(variables)
@@ -36,27 +36,22 @@ class MultiDirichletPoly:
         object.__setattr__(self, "vars", variables)
         object.__setattr__(self, "_terms", dict(sorted(t.items())))
 
-    def __setattr__(self, *a):
-        raise AttributeError("MultiDirichletPoly is immutable")
+    @staticmethod
+    def _times(i1: tuple, i2: tuple) -> tuple:
+        return tuple(x * y for x, y in zip(i1, i2))
 
     @property
-    def terms(self):
-        return dict(self._terms)
+    def ONE(self) -> tuple:
+        return (1,) * len(self.vars)
 
-    def items(self):
-        return self._terms.items()
+    def _like(self, terms) -> "MultiDirichletPoly":
+        return MultiDirichletPoly(terms, self.vars, self.ring)
 
-    def support(self):
-        return list(self._terms)
-
-    def is_zero(self):
-        return not self._terms
+    def _frame(self):
+        return self.ring, self.vars
 
     def is_constant(self):
         return all(all(i == 1 for i in idx) for idx in self._terms)
-
-    def n_vars(self):
-        return len(self.vars)
 
     def total_degree(self) -> int:
         best = 0
@@ -70,55 +65,6 @@ class MultiDirichletPoly:
     def degree_in(self, var: str) -> int:
         k = self.vars.index(var)
         return max((idx[k] for idx in self._terms), default=0)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, MultiDirichletPoly)
-            and self.ring == other.ring
-            and self.vars == other.vars
-            and self._terms == other._terms
-        )
-
-    def __hash__(self):
-        return hash((self.ring, self.vars, tuple(self._terms.items())))
-
-    def __add__(self, other):
-        self._check(other)
-        t = dict(self._terms)
-        for idx, c in other._terms.items():
-            t[idx] = self.ring.add(t.get(idx, 0), c)
-        return MultiDirichletPoly(t, self.vars, self.ring)
-
-    def __neg__(self):
-        return MultiDirichletPoly(
-            {i: self.ring.neg(c) for i, c in self._terms.items()}, self.vars, self.ring)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        self._check(other)
-        acc = {}
-        for i1, a in self._terms.items():
-            for i2, b in other._terms.items():
-                idx = tuple(x * y for x, y in zip(i1, i2))
-                acc[idx] = self.ring.add(acc.get(idx, 0), self.ring.mul(a, b))
-        return MultiDirichletPoly(acc, self.vars, self.ring)
-
-    def scale(self, c):
-        c = self.ring.coerce(c)
-        return MultiDirichletPoly(
-            {i: self.ring.mul(a, c) for i, a in self._terms.items()}, self.vars, self.ring)
-
-    def pow(self, e: int):
-        out = MultiDirichletPoly({(1,) * len(self.vars): 1}, self.vars, self.ring)
-        for _ in range(e):
-            out = out * self
-        return out
-
-    def _check(self, other):
-        if self.ring != other.ring or self.vars != other.vars:
-            raise ValueError("mismatched rings or variables")
 
     def algebraic_shift(self) -> tuple[int, ...]:
         """Per-coordinate gcd of the support indices."""
@@ -134,9 +80,8 @@ class MultiDirichletPoly:
 
     def algebraically_primitive_part(self):
         d = self.algebraic_shift()
-        return MultiDirichletPoly(
-            {tuple(i // g for i, g in zip(idx, d)): c for idx, c in self._terms.items()},
-            self.vars, self.ring)
+        return self._like(
+            {tuple(i // g for i, g in zip(idx, d)): c for idx, c in self._terms.items()})
 
     def coefficient_polys(self, outer: str):
         """Split off one indeterminate: map outer-index -> the coefficient,

@@ -554,8 +554,8 @@ def enumerate_segment_points_brute(x1: int, y1: int, x2: int, y2: int):
     """Interior log-integral points of the segment (log x1, y1)-(log x2, y2)
     by exhaustive search: integer x in (x1, x2), integer y strictly between
     the heights, satisfying x2^(y-y1) * x1^(y2-y) = x^(y2-y1)."""
-    if x1 >= x2:
-        raise ValueError("need x1 < x2")
+    if not 1 <= x1 < x2:
+        raise ValueError("need 1 <= x1 < x2")
     out = []
     if y1 == y2:
         # on a horizontal line every integer abscissa is log-integral

@@ -140,6 +140,8 @@ def build_polygon(f: DirichletPoly, p: int) -> LogPolygon:
     is not algebraically primitive, the polygon of its algebraically
     primitive part is built and the divided-out index gcd recorded as shift.
     """
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     if f.is_zero():
         raise ValueError("zero polynomial has no polygon")
     if f.ring.kind == "Q":

@@ -207,17 +207,46 @@ MISSING_ARGUMENT = [
     ["oracle", "segment"],
     ["prime-value", "1 + 1/2^s"],
 ]
+F2_SQUARE = '{"ring":"Fp","p":2,"terms":[[1,1],[4,1]]}'
+# a number outside its range (a prime, or an int >= 1), or a univariate
+# input where an s,t one is needed
+BAD_ARGUMENT = [
+    ["polygon", "1 + 1/2^s", "-p", "0"],
+    ["analyze", "1 + 1/2^s", "-p", "0"],
+    ["polygon", "1 + 1/2^s", "-p", "-2"],
+    ["polygon", "2 + 4/2^s + 1/3^s", "-p", "4"],
+    ["rank", F2_SQUARE, "--matrix", "A", "--p", "0"],
+    ["rank", F2_SQUARE, "--matrix", "B", "--p", "1"],
+    ["rank", "1 + 1/2^s", "--matrix", "D", "--d", "0"],
+    ["rank", "1 + 1/2^s", "--matrix", "D", "--d", "-1"],
+    ["rank", "1 + 1/2^s", "--matrix", "R", "--g", "1 + 1/3^s", "--d", "0"],
+    ["rank", "1 + 1/2^s", "--matrix", "R", "--g", "1 + 1/3^s", "--d", "-2"],
+    ["oracle", "segment", "--x1", "0", "--y1", "1", "--x2", "4", "--y2", "0"],
+    ["upper-polygon", "1 + 1/2^s", "--outer", "s", "--inner", "t"],
+    ["polytope", "1 + 1/2^s"],
+]
 
 
 @pytest.mark.parametrize(
-    "argv", [["analyze", text] for text in MALFORMED_JSON] + MISSING_ARGUMENT,
-    ids=MALFORMED_JSON + [" ".join(argv) for argv in MISSING_ARGUMENT])
+    "argv", [["analyze", text] for text in MALFORMED_JSON] + MISSING_ARGUMENT + BAD_ARGUMENT,
+    ids=MALFORMED_JSON + [" ".join(argv) for argv in MISSING_ARGUMENT + BAD_ARGUMENT])
 def test_malformed_json_exits_one_with_one_line(capsys, argv):
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.strip().splitlines()) == 1
     assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["polygon", "analyze"])
+def test_prime_one_is_rejected_without_hanging(command):
+    # valuation at p = 1 never ends: run it in a child that a timeout stops
+    proc = subprocess.run(
+        [sys.executable, "-m", "dpirred.cli", command, "1 + 1/2^s", "-p", "1"],
+        capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == ["error: argument --prime/-p: '1' is not a prime"]
 
 
 def test_help_exits_zero(capsys):

@@ -8,7 +8,6 @@ from fractions import Fraction
 from dpirred.core import (
     DirichletPoly,
     GF,
-    MultivariatePoly,
     QQ,
     UnfactoredResidueError,
     ZZ,
@@ -18,8 +17,6 @@ from dpirred.core import (
     iroot,
     log_gcd,
     max_exponents,
-    phi_inverse,
-    phi_map,
     valuation,
 )
 
@@ -96,11 +93,38 @@ def test_primitive_product_is_primitive():
         assert (fa * ga).is_algebraically_primitive()
 
 
+# phi, which sends 1/p^s to a variable X_p, as a reference for the Dirichlet
+# product: the monomial of index i is its prime-exponent vector, a product of
+# monomials adds exponents, and the inverse multiplies p**e
+def phi_map(f):
+    return {tuple(exponents(i).items()): c for i, c in f.items()}
+
+
+def phi_product(F, G):
+    out = {}
+    for m1, a in F.items():
+        for m2, b in G.items():
+            e = dict(m1)
+            for p, k in m2:
+                e[p] = e.get(p, 0) + k
+            m = tuple(sorted(e.items()))
+            out[m] = out.get(m, 0) + a * b
+    return {m: c for m, c in out.items() if c != 0}
+
+
+def phi_inverse(F):
+    terms = {}
+    for m, c in F.items():
+        n = 1
+        for p, e in m:
+            n *= p**e
+        terms[n] = c
+    return DirichletPoly(terms)
+
+
 def test_phi_map_examples():
-    F = phi_map(DirichletPoly({1: 1, 12: 1}))
-    assert F.terms == {(): 1, (2, 1): 1}
-    F = phi_map(DirichletPoly({1: 5}))
-    assert F.terms == {(): 5}
+    assert phi_map(DirichletPoly({1: 1, 12: 1})) == {(): 1, ((2, 2), (3, 1)): 1}
+    assert phi_map(DirichletPoly({1: 5})) == {(): 5}
     assert phi_inverse(phi_map(FIG1)) == FIG1
 
 
@@ -108,7 +132,7 @@ def test_phi_is_ring_homomorphism():
     rng = random.Random(13)
     for _ in range(60):
         f, g = rand_poly(rng), rand_poly(rng)
-        assert phi_map(f * g) == phi_map(f) * phi_map(g)
+        assert phi_map(f * g) == phi_product(phi_map(f), phi_map(g))
 
 
 def test_factor_integer():
@@ -118,6 +142,9 @@ def test_factor_integer():
     with pytest.raises(UnfactoredResidueError):
         factor_integer((10**9 + 7) * (10**9 + 9), cap=10**5)
     assert valuation(48, 2) == 4
+    for p in (1, 0, -2):
+        with pytest.raises(ValueError):
+            valuation(48, p)
     assert divisors(12) == [1, 2, 3, 4, 6, 12]
 
 

@@ -1,8 +1,16 @@
+import random
+
 import pytest
 from fractions import Fraction
 
-from dpirred.core import GF, QQ
+from dpirred.core import GF, QQ, ZZ
 from dpirred.multivariate import MultiDirichletPoly
+
+
+def rand_st(rng, ring):
+    terms = {(rng.randint(1, 6), rng.randint(1, 6)): rng.randint(-4, 4)
+             for _ in range(rng.randint(0, 4))}
+    return MultiDirichletPoly(terms, ("s", "t"), ring)
 
 
 def test_product_and_degrees():
@@ -13,6 +21,20 @@ def test_product_and_degrees():
     assert fg.total_degree() == 9
     assert fg.degree_in("s") == 6
     assert fg.degree_in("t") == 3
+
+
+@pytest.mark.parametrize("ring", [ZZ, GF(3)], ids=str)
+def test_ring_laws_random(ring):
+    rng = random.Random(19)
+    one = MultiDirichletPoly({(1, 1): 1}, ("s", "t"), ring)
+    for _ in range(150):
+        f, g, h = (rand_st(rng, ring) for _ in range(3))
+        assert f + g == g + f and f * g == g * f
+        assert (f + g) + h == f + (g + h) and (f * g) * h == f * (g * h)
+        assert f * (g + h) == f * g + f * h
+        assert (f - f).is_zero() and f - g == f + (-g)
+        assert f.pow(2) == f * f and f.pow(0) == one and f * one == f
+        assert f.scale(3) == f + f + f
 
 
 def test_algebraic_primitivity():
@@ -53,5 +75,11 @@ def test_validation():
         MultiDirichletPoly({(1,): 1}, ("s", "t"))
     a = MultiDirichletPoly({(2, 1): 1}, ("s", "t"))
     b = MultiDirichletPoly({(2,): 1}, ("s",))
-    with pytest.raises(ValueError):
-        a * b
+    c = MultiDirichletPoly({(2, 1): 1}, ("u", "v"))
+    for other in (b, c):
+        for op in (a.__add__, a.__sub__, a.__mul__):
+            with pytest.raises(ValueError, match="variable mismatch"):
+                op(other)
+        assert a != other
+    with pytest.raises(ValueError, match="ring mismatch: Z vs F3"):
+        a + MultiDirichletPoly({(2, 1): 1}, ("s", "t"), GF(3))

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 from math import lcm
 
+import pytest
+
 from dpirred.core import QQ, DirichletPoly, GF, UnfactoredResidueError, divisors, max_exponents
 from dpirred.oracle import (
     FACTORED,
@@ -189,6 +191,9 @@ def test_segment_brute_examples():
     assert enumerate_segment_points_brute(4, 2, 9, 0) == [(6, 1)]
     assert enumerate_segment_points_brute(2, 0, 3, 1) == []
     assert enumerate_segment_points_brute(4, 0, 36, 2) == [(12, 1)]
+    for x1, x2 in ((0, 4), (4, 4), (5, 4)):
+        with pytest.raises(ValueError):
+            enumerate_segment_points_brute(x1, 1, x2, 0)
 
 
 def test_segment_brute_nd():

@@ -34,6 +34,9 @@ def test_figure1_polygon():
     assert poly.edges[0].points == ((4, 2), (6, 1), (9, 0))
     assert poly.edges[0].delta == 2
     assert poly.validate()
+    for p in (1, 0, -2, 4):
+        with pytest.raises(ValueError, match="not prime"):
+            build_polygon(FIG1, p)
 
 
 def test_two_term_polygon_single_edge():
