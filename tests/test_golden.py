@@ -198,6 +198,19 @@ def test_comparator_json_matches_snapshot():
     assert comparator_runs() == expected
 
 
+def test_upper_polygon_undecidable_reports_partial_hull(monkeypatch):
+    # at 4 bits the near tie of ST_INPUTS[3] cannot be certified: the hull
+    # stops after (1, 2) and (2, 5), before the chord to (4, 13) is decided
+    from dpirred import certlog
+
+    monkeypatch.setattr(certlog, "PRECISION_START_BITS", 4)
+    monkeypatch.setattr(certlog, "PRECISION_CAP_BITS", 4)
+    res = run([ST_INPUTS[3], "--outer", "s", "--inner", "t"], "upper-polygon")
+    assert res["exit"] == 3
+    assert json.loads(res["stdout"]) == {"status": "undecidable",
+                                         "partial_vertices": [[1, 2], [2, 5]]}
+
+
 def test_polygon_json_matches_snapshot():
     expected = json.loads(POLYGON_SNAPSHOT.read_text())
     assert [run(args, "polygon") for args in POLYGON_CASES] == expected
