@@ -20,7 +20,7 @@ from .degrees import multiplicity_report, quick_irreducibility
 from .multivariate import MultiDirichletPoly
 from .polygon import dumas_test, slope_exclusions, multi_prime_test
 from .polytope import polytope_irreducibility
-from .upperpoly import HullUndecidable, stepanov_schmidt_test
+from .upperpoly import stepanov_schmidt_test
 from . import report
 from .report import CriterionReport, inconclusive
 
@@ -183,7 +183,7 @@ def _multivariate_reports(f: MultiDirichletPoly):
                 continue
             try:
                 rep = stepanov_schmidt_test(f, outer, inner)
-            except (HullUndecidable, ValueError):
+            except ValueError:
                 continue
             yield rep
 

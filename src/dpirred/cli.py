@@ -107,6 +107,17 @@ _prime = _int_type(is_prime, "a prime")
 _positive_int = _int_type(lambda n: n >= 1, "a positive integer")
 
 
+def _int_range(text: str) -> tuple[int, int]:
+    """An argparse type: LO..HI with integers LO <= HI, as the pair."""
+    lo, sep, hi = text.partition("..")
+    try:
+        if sep and int(lo) <= int(hi):
+            return int(lo), int(hi)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"{text!r} is not a range LO..HI with integers LO <= HI")
+
+
 def _verdict_exit(verdict: str) -> int:
     if verdict in report.DEFINITIVE:
         return EXIT_DEFINITIVE
@@ -123,10 +134,6 @@ def cmd_analyze(args) -> int:
     from .analyze import analyze_multivariate, analyze_univariate
 
     f = _load_input(args.input)
-    scan = None
-    if args.scan_t:
-        lo, _, hi = args.scan_t.partition("..")
-        scan = (int(lo), int(hi))
     if isinstance(f, MultiDirichletPoly):
         res = analyze_multivariate(
             f, run_all=args.all, assume_log_independence=args.assume_log_independence)
@@ -136,7 +143,7 @@ def cmd_analyze(args) -> int:
             run_all=args.all,
             use_oracle=args.oracle,
             assume_log_independence=args.assume_log_independence,
-            scan_t=scan,
+            scan_t=args.scan_t,
         )
     out = {
         "input": res.input_text,
@@ -220,7 +227,8 @@ def _ascii_polygon(poly) -> str:
 
 
 def cmd_upper_polygon(args) -> int:
-    from .upperpoly import HullUndecidable, build_upper_polygon, stepanov_schmidt_test
+    from .polygon import HullUndecidable
+    from .upperpoly import build_upper_polygon, stepanov_schmidt_test
 
     f = _load_input(args.input)
     if not isinstance(f, MultiDirichletPoly):
@@ -325,11 +333,11 @@ def cmd_prime_value(args) -> int:
 
     f = _load_input(args.input)
     if args.scan_t:
-        lo, _, hi = args.scan_t.partition("..")
-        hit = scan_t(f, int(lo), int(hi))
+        lo, hi = args.scan_t
+        hit = scan_t(f, lo, hi)
         if hit is None:
             _emit({"verdict": report.INCONCLUSIVE,
-                   "detail": f"no witness found for t in {args.scan_t}"}, args.format)
+                   "detail": f"no witness found for t in {lo}..{hi}"}, args.format)
             return EXIT_INCONCLUSIVE
         t, rep = hit
         _emit({"t": t, "criterion": _report_obj(rep)}, args.format)
@@ -403,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--all", action="store_true", help="run every criterion")
     p.add_argument("--oracle", action="store_true", help="append the brute-force oracle")
-    p.add_argument("--scan-t", default=None, help="prime-value witness scan, e.g. 1..16")
+    p.add_argument("--scan-t", type=_int_range, help="prime-value witness scan, e.g. 1..16")
     p.add_argument("--prime", "-p", type=_prime, action="append",
                    help="attach the polygon at this prime to the report (repeatable)")
     common(p)
@@ -431,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--matrix", choices=("A", "B", "R", "D"), required=True)
     p.add_argument("--p", type=_prime, default=2)
-    p.add_argument("--k", type=int, default=2)
+    p.add_argument("--k", type=_positive_int, default=2)
     p.add_argument("--d", type=_positive_int, default=1)
     p.add_argument("--g", help="second polynomial for the R matrix")
     common(p)
@@ -443,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--P", type=int)
     p.add_argument("--ell", type=int, default=1)
     p.add_argument("--q", type=int, default=1)
-    p.add_argument("--scan-t", default=None)
+    p.add_argument("--scan-t", type=_int_range)
     common(p)
     p.set_defaults(fn=cmd_prime_value)
 

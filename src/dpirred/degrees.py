@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from types import MappingProxyType
 
 from .core import DirichletPoly, divisors, exponents, smallest_prime_factor
 from . import report
@@ -30,17 +29,6 @@ class RelativeDegreeSets:
     s_rd_k: tuple[Fraction, ...]      # 1 < d/c <= (n/m)^(1/(k+1))
     rho: Fraction                     # largest d/c <= sqrt(n/m)
     delta: Fraction | None            # smallest d/c with d > c
-    witnesses: MappingProxyType       # ratio -> (c, d) sample witness, read-only
-
-
-def _ratio_table(m: int, n: int) -> dict[Fraction, tuple[int, int]]:
-    out: dict[Fraction, tuple[int, int]] = {}
-    for d in divisors(n):
-        for c in divisors(m):
-            r = Fraction(d, c)
-            if r not in out:
-                out[r] = (c, d)
-    return out
 
 
 @lru_cache(maxsize=4096)
@@ -51,18 +39,16 @@ def relative_degree_sets(m: int, n: int, k: int = 1) -> RelativeDegreeSets:
         raise ValueError(f"need 1 <= m < n, got ({m}, {n})")
     if k < 1:
         raise ValueError("k must be >= 1")
-    table = _ratio_table(m, n)
+    ratios = {Fraction(d, c) for d in divisors(n) for c in divisors(m)}
     nm = Fraction(n, m)
-    s_rd = sorted(r for r in table if 1 < r < nm)
+    s_rd = sorted(r for r in ratios if 1 < r < nm)
     # r <= (n/m)^(1/(k+1))  <=>  r^(k+1) <= n/m
-    s_rd_k = sorted(r for r in table if 1 < r and r ** (k + 1) <= nm)
+    s_rd_k = sorted(r for r in ratios if 1 < r and r ** (k + 1) <= nm)
     # r <= sqrt(n/m)  <=>  d^2 * m <= c^2 * n
-    rho = max(r for r in table if r * r <= nm)
-    above_one = [r for r in table if r > 1]
+    rho = max(r for r in ratios if r * r <= nm)
+    above_one = [r for r in ratios if r > 1]
     delta = min(above_one) if above_one else None
-    wit = {r: table[r] for r in set(s_rd) | set(s_rd_k) | {rho} | ({delta} if delta else set())}
-    return RelativeDegreeSets(m, n, k, tuple(s_rd), tuple(s_rd_k), rho, delta,
-                              MappingProxyType(wit))
+    return RelativeDegreeSets(m, n, k, tuple(s_rd), tuple(s_rd_k), rho, delta)
 
 
 def min_factor_count_bound(m: int, n: int) -> int:

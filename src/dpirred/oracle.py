@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 from .core import (DirichletPoly, UnfactoredResidueError, common_ring, divisors, exponents,
@@ -37,6 +38,8 @@ NODE_CAP_DEFAULT = 10**8
 # node budget of the CLI oracle (`oracle factor` and `analyze --oracle`):
 # it binds within a few seconds, where the default cap never binds in time
 NODE_CAP_CLI = 100_000
+# (x2 - x1) * max(1, |y2 - y1|) cells at most in one brute-force segment box
+SEGMENT_BOX_CAP = 10**5
 
 
 @dataclass
@@ -365,33 +368,15 @@ def _search_fp(fd: dict, p: int, node_cap: int):
     for c1, d1 in _shapes(m, n):
         idxs = [c1] + [j for j in range(c1 + 1, d1) if _index_allowed(j, prof)]
         # g monic in the leading slot; enumerate the rest, min coefficient nonzero
-        def rec(pos, acc):
-            nonlocal nodes
-            if pos == len(idxs):
-                gd = {j: v for j, v in acc.items() if v}
-                gd[d1] = 1
-                nodes += 1
-                if nodes > node_cap:
-                    return None
-                h = _divide_fp(fd, gd, p)
-                if h and any(h.values()):
-                    return gd, h
-                return None
-            j = idxs[pos]
-            vals = range(1, p) if j == c1 else range(p)
-            for v in vals:
-                acc[j] = v
-                found = rec(pos + 1, acc)
-                if found or nodes > node_cap:
-                    return found
-            del acc[j]
-            return None
-
-        found = rec(0, {})
-        if found:
-            return found, True, nodes
-        if nodes > node_cap:
-            return None, False, nodes
+        for vals in product(range(1, p), *[range(p)] * (len(idxs) - 1)):
+            nodes += 1
+            if nodes > node_cap:
+                return None, False, nodes
+            gd = {j: v for j, v in zip(idxs, vals) if v}
+            gd[d1] = 1
+            h = _divide_fp(fd, gd, p)
+            if h and any(h.values()):
+                return (gd, h), True, nodes
     return None, True, nodes
 
 
@@ -556,6 +541,9 @@ def enumerate_segment_points_brute(x1: int, y1: int, x2: int, y2: int):
     the heights, satisfying x2^(y-y1) * x1^(y2-y) = x^(y2-y1)."""
     if not 1 <= x1 < x2:
         raise ValueError("need 1 <= x1 < x2")
+    if (x2 - x1) * max(1, abs(y2 - y1)) > SEGMENT_BOX_CAP:
+        raise ValueError(f"the box ({x1}, {x2}) x ({y1}, {y2}) has more than "
+                         f"{SEGMENT_BOX_CAP} cells")
     out = []
     if y1 == y2:
         # on a horizontal line every integer abscissa is log-integral

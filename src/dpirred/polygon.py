@@ -9,7 +9,8 @@ polygon never sees a floating-point number and never consumes a log base.
 Edges split into segments at the intermediate log-integral points: for a
 sloped edge with endpoints (x1, y1), (x2, y2) their number is
 delta = gcd(y2 - y1, nu_q(x2) - nu_q(x1) over primes q | x1*x2), while a
-horizontal edge passes through every integer abscissa in range.
+horizontal edge passes through every integer abscissa in range.  The hull
+and that edge cut, log_hull, are shared with the upper polygons of upperpoly.
 """
 
 from __future__ import annotations
@@ -34,25 +35,12 @@ def nu(coeff, p: int) -> int:
     return valuation(coeff, p)
 
 
-def _segment_data(x1: int, y1: int, x2: int, y2: int):
-    """delta, the log-integral points, and the per-segment relative degrees
-    of the edge (log x1, y1)-(log x2, y2).
-
-    A horizontal edge passes through (log x, y) for every integer x in
-    range, so it carries x2 - x1 segments with relative degrees (x+1)/x;
-    treating it like a sloped edge would undercount the ways factors can
-    split it and break the counting bound and the candidate engine.
-    """
-    if x1 >= x2:
-        raise ValueError("need x1 < x2")
-    if y1 == y2:
-        pts = [(x, y1) for x in range(x1, x2 + 1)]
-        ratios = tuple(Fraction(x + 1, x) for x in range(x1, x2))
-        return x2 - x1, pts, ratios
+def _nu_points(a, b):
+    """The log-integral points of the sloped edge a-b of a nu_p polygon:
+    delta = gcd(rise, log_gcd) equal steps, interpolated prime by prime."""
+    (x1, y1), (x2, y2) = a, b
     delta = gcd(y2 - y1, log_gcd(x1, x2))
-    xs = log_points(x1, x2, delta)
-    pts = [(x, y1 + i * (y2 - y1) // delta) for i, x in enumerate(xs)]
-    return delta, pts, (Fraction(xs[1], xs[0]),) * delta
+    return [(x, y1 + i * (y2 - y1) // delta) for i, x in enumerate(log_points(x1, x2, delta))]
 
 
 def segment_point_count(x1: int, y1: int, x2: int, y2: int):
@@ -61,8 +49,10 @@ def segment_point_count(x1: int, y1: int, x2: int, y2: int):
     if y1 == y2:
         raise ValueError("endpoints must have distinct heights; horizontal "
                          "edges are handled inside the polygon builder")
-    delta, pts, _ = _segment_data(x1, y1, x2, y2)
-    return delta, pts
+    if x1 >= x2:
+        raise ValueError("need x1 < x2")
+    pts = _nu_points((x1, y1), (x2, y2))
+    return len(pts) - 1, pts
 
 
 @dataclass(frozen=True)
@@ -85,6 +75,47 @@ class Edge:
 
     def interior_points(self):
         return self.points[1:-1]
+
+
+class HullUndecidable(RuntimeError):
+    """A hull comparison could not be certified; carries the partial hull."""
+
+    def __init__(self, partial):
+        super().__init__("hull comparison undecidable at the precision cap")
+        self.partial = partial
+
+
+def _edge(a, b, sloped) -> Edge:
+    """The edge a-b cut at its log-integral points.  A horizontal edge
+    passes through (log x, y) for every integer x in range, so it carries
+    x2 - x1 segments with relative degrees (x+1)/x; treating it like a
+    sloped edge would undercount the ways factors can split it and break
+    the counting bound and the candidate engine."""
+    (x1, y1), (x2, y2) = a, b
+    pts = [(x, y1) for x in range(x1, x2 + 1)] if y1 == y2 else sloped(a, b)
+    xs = [x for x, _ in pts]
+    return Edge(x1, y1, x2, y2, len(pts) - 1, tuple(pts), tuple(map(Fraction, xs[1:], xs)))
+
+
+def log_hull(points, drop, sloped):
+    """Vertices and edges of the hull over points in index order.
+
+    drop(a, b, c) says whether the middle point b leaves the hull: True,
+    False, or None when the comparison cannot be certified, which raises
+    HullUndecidable with the hull built so far.  sloped(a, b) lists the
+    log-integral points of an edge that is not horizontal, endpoints
+    included."""
+    hull: list[tuple[int, int]] = []
+    for pt in points:
+        while len(hull) >= 2:
+            gone = drop(hull[-2], hull[-1], pt)
+            if gone is None:
+                raise HullUndecidable(tuple(hull))
+            if not gone:
+                break
+            hull.pop()
+        hull.append(pt)
+    return tuple(hull), tuple(_edge(a, b, sloped) for a, b in zip(hull, hull[1:]))
 
 
 @dataclass(frozen=True)
@@ -153,16 +184,8 @@ def build_polygon(f: DirichletPoly, p: int) -> LogPolygon:
         f = DirichletPoly({i // shift: c for i, c in f.items()}, f.ring)
     plotted = tuple((i, nu(c, p)) for i, c in f.items())
 
-    hull: list[tuple[int, int]] = []
-    for pt in plotted:
-        while len(hull) >= 2 and _chord_cmp(hull[-2], hull[-1], pt) >= 0:
-            hull.pop()
-        hull.append(pt)
-    edges = []
-    for a, b in zip(hull, hull[1:]):
-        delta, pts, ratios = _segment_data(a[0], a[1], b[0], b[1])
-        edges.append(Edge(a[0], a[1], b[0], b[1], delta, tuple(pts), tuple(ratios)))
-    return LogPolygon(p, tuple(hull), tuple(edges), shift, plotted)
+    vertices, edges = log_hull(plotted, lambda a, b, c: _chord_cmp(a, b, c) >= 0, _nu_points)
+    return LogPolygon(p, vertices, edges, shift, plotted)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ re-verified in integer arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
@@ -24,32 +23,18 @@ MR_DETERMINISTIC_LIMIT = 3_317_044_064_679_887_385_961_981
 SCAN_Q_CAP = 64
 
 
-@dataclass(frozen=True)
-class GelfondContext:
-    relevant_primes: tuple[int, ...]
-    max_multiplicities: tuple[int, ...]  # aligned with relevant_primes
-    effective_variables: int
-    height: int
-
-
-def gelfond_context(f: DirichletPoly) -> GelfondContext:
-    if f.ring.kind != "Z":
-        raise ValueError("needs integer coefficients")
-    if f.is_zero():
-        raise ValueError("zero polynomial")
-    mult = max_exponents(f.support())
-    return GelfondContext(tuple(mult), tuple(mult.values()), len(mult), f.height())
-
-
 def gelfond_factor_height_bound(f: DirichletPoly) -> int:
     """Ceiling of 2^(sum m_i - k) * sqrt(prod (m_i + 1)) * H(f): an upper
     bound for the height of any factor of f (and for the product of the
     heights of all factors)."""
-    ctx = gelfond_context(f)
-    e = sum(ctx.max_multiplicities) - ctx.effective_variables
-    a = (1 << e) * ctx.height if ctx.max_multiplicities else ctx.height
+    if f.ring.kind != "Z":
+        raise ValueError("needs integer coefficients")
+    if f.is_zero():
+        raise ValueError("zero polynomial")
+    mult = max_exponents(f.support()).values()
+    a = (1 << (sum(mult) - len(mult))) * f.height()
     prod = 1
-    for m in ctx.max_multiplicities:
+    for m in mult:
         prod *= m + 1
     r = isqrt(a * a * prod)
     return r if r * r == a * a * prod else r + 1
@@ -189,17 +174,16 @@ def prime_value_test(
             f"principal {P}th root of the exponent product is rational",
         )
 
-    ctx = gelfond_context(f)
+    k, height = len(max_exponents(f.support())), f.height()
     p = smallest_prime_factor(n)
     routes = []
-    sharp = _exceeds(t, threshold_rhs(n, p, ctx.effective_variables, q, ctx.height))
+    sharp = _exceeds(t, threshold_rhs(n, p, k, q, height))
     routes.append(("support-aware", sharp))
     if sharp != "yes":
-        if ctx.height <= 1 and q == 1 and t > n * n:
+        if height <= 1 and q == 1 and t > n * n:
             routes.append(("unit-coefficients", "yes"))
         else:
-            routes.append(
-                ("closed-form", _exceeds(t, simple_rhs(n, q, ctx.height))))
+            routes.append(("closed-form", _exceeds(t, simple_rhs(n, q, height))))
 
     fired = [name for name, res in routes if res == "yes"]
     if fired:

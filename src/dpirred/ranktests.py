@@ -370,6 +370,8 @@ def build_d_matrix(f: DirichletPoly, k: int = 1, d: int = 1) -> list[dict[int, L
     symbols.  f must have a nonzero constant term (support starting at 1)."""
     if f.ring.kind not in ("Z", "Q"):
         raise ValueError("needs integer or rational coefficients")
+    if k < 1:
+        raise ValueError("need derivative order k >= 1")
     m = f.degree
     if m % d:
         raise ValueError("d must divide deg f")

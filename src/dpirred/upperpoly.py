@@ -25,30 +25,10 @@ from .certlog import (
     log_orientation,
 )
 from .multivariate import MultiDirichletPoly
+from .polygon import Edge, log_hull
 from .polytope import segment_lattice_points
 from . import report
 from .report import CriterionReport, inconclusive
-
-
-class HullUndecidable(RuntimeError):
-    """A hull comparison hit the precision cap; carries the partial hull."""
-
-    def __init__(self, partial):
-        super().__init__("upper hull comparison undecidable at the precision cap")
-        self.partial = partial
-
-
-@dataclass(frozen=True)
-class UpperEdge:
-    i1: int
-    y1: int
-    i2: int
-    y2: int
-    delta: int
-    points: tuple[tuple[int, int], ...]
-
-    def interior_points(self):
-        return self.points[1:-1]
 
 
 @dataclass(frozen=True)
@@ -56,7 +36,7 @@ class UpperLogPolygon:
     outer: str
     inner: str
     vertices: tuple[tuple[int, int], ...]
-    edges: tuple[UpperEdge, ...]
+    edges: tuple[Edge, ...]
     plotted: tuple[tuple[int, int], ...]
 
     def single_edge(self) -> bool:
@@ -65,8 +45,8 @@ class UpperLogPolygon:
 
 def build_upper_polygon(f: MultiDirichletPoly, outer: str, inner: str) -> UpperLogPolygon:
     """Upper hull of (log i, log deg_inner a_i) over the outer-indeterminate
-    coefficients a_i.  Raises HullUndecidable when a comparison cannot be
-    certified at the precision cap."""
+    coefficients a_i.  Raises polygon.HullUndecidable when a comparison
+    cannot be certified at the precision cap."""
     if f.is_zero():
         raise ValueError("zero polynomial")
     if not f.is_algebraically_primitive():
@@ -79,33 +59,14 @@ def build_upper_polygon(f: MultiDirichletPoly, outer: str, inner: str) -> UpperL
             plotted.append((i, d))
     if not plotted:
         raise ValueError("no nonzero coefficients")
-    hull: list[tuple[int, int]] = []
-    for pt in plotted:
-        while len(hull) >= 2:
-            s = log_orientation(hull[-2], hull[-1], pt)
-            if s == CMP_UNDECIDABLE:
-                raise HullUndecidable(tuple(hull))
-            if s in (POSITIVE, ZERO):  # middle point on or below the chord
-                hull.pop()
-            else:
-                break
-        hull.append(pt)
-    edges = []
-    for a, b in zip(hull, hull[1:]):
-        d, pts = _upper_segment_data(a, b)
-        edges.append(UpperEdge(a[0], a[1], b[0], b[1], d, tuple(pts)))
-    return UpperLogPolygon(outer, inner, tuple(hull), tuple(edges), tuple(plotted))
+    vertices, edges = log_hull(plotted, _drop, segment_lattice_points)
+    return UpperLogPolygon(outer, inner, vertices, edges, tuple(plotted))
 
 
-def _upper_segment_data(a, b):
-    """Lattice subdivision of an upper-hull edge: both coordinates are logs
-    of integers, the two-coordinate case of the gcd-bar machinery.  On a
-    horizontal edge every integer abscissa is log-integral."""
-    (x1, y1), (x2, y2) = a, b
-    if y1 == y2:
-        return x2 - x1, [(x, y1) for x in range(x1, x2 + 1)]
-    pts = segment_lattice_points(a, b)
-    return len(pts) - 1, pts
+def _drop(a, b, c):
+    """Whether b is on or below the chord a-c, None if uncertified."""
+    s = log_orientation(a, b, c)
+    return None if s == CMP_UNDECIDABLE else s in (POSITIVE, ZERO)
 
 
 def upper_vector_system(poly: UpperLogPolygon):

@@ -222,6 +222,12 @@ BAD_ARGUMENT = [
     ["rank", "1 + 1/2^s", "--matrix", "R", "--g", "1 + 1/3^s", "--d", "0"],
     ["rank", "1 + 1/2^s", "--matrix", "R", "--g", "1 + 1/3^s", "--d", "-2"],
     ["oracle", "segment", "--x1", "0", "--y1", "1", "--x2", "4", "--y2", "0"],
+    ["rank", "1 + 1/2^s", "--matrix", "D", "--k", "0"],
+    ["rank", "1 + 1/2^s", "--matrix", "D", "--k", "-1"],
+    ["analyze", "1 + 1/2^s", "--scan-t", "5"],
+    ["analyze", "1 + 1/2^s", "--scan-t", "9..1"],
+    ["prime-value", "1 + 1/2^s", "--scan-t", "5"],
+    ["prime-value", "1 + 1/2^s", "--scan-t", "9..1"],
     ["upper-polygon", "1 + 1/2^s", "--outer", "s", "--inner", "t"],
     ["polytope", "1 + 1/2^s"],
 ]
@@ -247,6 +253,17 @@ def test_prime_one_is_rejected_without_hanging(command):
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr.splitlines() == ["error: argument --prime/-p: '1' is not a prime"]
+
+
+def test_oversized_segment_box_is_rejected_without_hanging():
+    # about 10^10 (x, y) pairs: run it in a child that a timeout stops
+    argv = ["oracle", "segment", "--x1", "2", "--y1", "0", "--x2", "100000", "--y2", "100000"]
+    proc = subprocess.run([sys.executable, "-m", "dpirred.cli", *argv],
+                          capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: ")
 
 
 def test_help_exits_zero(capsys):

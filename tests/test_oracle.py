@@ -24,6 +24,7 @@ from dpirred.oracle import (
     factor_completely,
     gcd_bounded,
     max_factor_multiplicity,
+    SEGMENT_BOX_CAP,
 )
 
 FIG1 = DirichletPoly({4: 4, 6: 4, 8: 2, 9: 1, 10: 4, 12: 1, 15: 2})
@@ -194,6 +195,14 @@ def test_segment_brute_examples():
     for x1, x2 in ((0, 4), (4, 4), (5, 4)):
         with pytest.raises(ValueError):
             enumerate_segment_points_brute(x1, 1, x2, 0)
+    # boxes past SEGMENT_BOX_CAP cells are refused, horizontal ones too
+    widest = enumerate_segment_points_brute(1, 0, SEGMENT_BOX_CAP + 1, 0)
+    assert len(widest) == SEGMENT_BOX_CAP - 1
+    for y2 in (0, 1, 2):
+        with pytest.raises(ValueError, match="cells"):
+            enumerate_segment_points_brute(1, 0, SEGMENT_BOX_CAP + 2, y2)
+    with pytest.raises(ValueError, match="cells"):
+        enumerate_segment_points_brute(2, 0, 100000, 100000)
 
 
 def test_segment_brute_nd():

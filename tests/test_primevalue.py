@@ -3,10 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from dpirred.core import DirichletPoly
+from dpirred.core import DirichletPoly, max_exponents
 from dpirred.certlog import LogProduct, NEGATIVE, POSITIVE, ZERO, ln_bounds
 from dpirred.primevalue import (
-    gelfond_context,
     gelfond_factor_height_bound,
     prime_value_test,
     pth_root_is_irrational,
@@ -48,9 +47,9 @@ def test_ln_bounds_independent_of_call_order():
 def test_gelfond_bound_examples():
     assert gelfond_factor_height_bound(DirichletPoly({1: 1, 2: 1})) == 2
     assert gelfond_factor_height_bound(DirichletPoly({1: -7})) == 7
-    ctx = gelfond_context(DirichletPoly({4: 4, 6: 4, 8: 2, 9: 1, 10: 4, 12: 1, 15: 2}))
-    assert ctx.relevant_primes == (2, 3, 5)
-    assert ctx.max_multiplicities == (3, 2, 1)
+    mult = max_exponents(DirichletPoly({4: 4, 6: 4, 8: 2, 9: 1, 10: 4, 12: 1, 15: 2}).support())
+    assert mult == {2: 3, 3: 2, 5: 1}
+    assert list(mult) == [2, 3, 5]
 
 
 def test_gelfond_bound_dominates_factor_heights():

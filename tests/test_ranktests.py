@@ -199,6 +199,15 @@ def test_derivative_rank_two_term_full():
     assert rep.gated(True).verdict == report.SQUARE_FREE
 
 
+def test_derivative_order_below_one_is_rejected():
+    f = DirichletPoly({1: 1, 2: 1})
+    for k in (0, -1):
+        with pytest.raises(ValueError):
+            build_d_matrix(f, k)
+        with pytest.raises(ValueError):
+            derivative_rank_test(f, k)
+
+
 def test_derivative_rank_matches_oracle_random():
     rng = random.Random(67)
     found = 0
