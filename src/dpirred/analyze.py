@@ -27,9 +27,14 @@ from .report import CriterionReport, inconclusive
 
 @dataclass
 class Analysis:
-    input_text: str
+    poly: DirichletPoly | MultiDirichletPoly
     verdict: str
     reports: list[CriterionReport] = field(default_factory=list)
+
+    @property
+    def input_text(self) -> str:
+        """The input in text form, rendered when asked for."""
+        return self.poly.text()
 
 
 def coefficient_primes(f: DirichletPoly) -> list[int]:
@@ -54,11 +59,11 @@ def analyze_univariate(
     assume_log_independence: bool = False,
     scan_t: tuple[int, int] | None = None,
 ) -> Analysis:
-    return _run(f.text(), _univariate_reports(f, run_all, use_oracle, scan_t),
+    return _run(f, _univariate_reports(f, run_all, use_oracle, scan_t),
                 run_all, assume_log_independence)
 
 
-def _run(text: str, reports, run_all: bool, assume_log_independence: bool) -> Analysis:
+def _run(f, reports, run_all: bool, assume_log_independence: bool) -> Analysis:
     """Gate each report, keep it, and stop at the first definitive one
     unless every report is requested."""
     kept: list[CriterionReport] = []
@@ -66,8 +71,8 @@ def _run(text: str, reports, run_all: bool, assume_log_independence: bool) -> An
         rep = rep.gated(assume_log_independence)
         kept.append(rep)
         if rep.definitive and not run_all:
-            return Analysis(text, rep.verdict, kept)
-    return Analysis(text, _aggregate(kept), kept)
+            return Analysis(f, rep.verdict, kept)
+    return Analysis(f, _aggregate(kept), kept)
 
 
 def _univariate_reports(f: DirichletPoly, run_all: bool, use_oracle: bool, scan_t):
@@ -160,7 +165,7 @@ def analyze_multivariate(
     run_all: bool = False,
     assume_log_independence: bool = False,
 ) -> Analysis:
-    return _run(f.text(), _multivariate_reports(f), run_all, assume_log_independence)
+    return _run(f, _multivariate_reports(f), run_all, assume_log_independence)
 
 
 def _multivariate_reports(f: MultiDirichletPoly):

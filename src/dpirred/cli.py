@@ -108,14 +108,22 @@ _positive_int = _int_type(lambda n: n >= 1, "a positive integer")
 
 
 def _int_range(text: str) -> tuple[int, int]:
-    """An argparse type: LO..HI with integers LO <= HI, as the pair."""
+    """An argparse type: LO..HI with integers LO <= HI within the prime-value
+    scan's cap, as the pair."""
+    from .primevalue import check_scan_range
+
     lo, sep, hi = text.partition("..")
     try:
-        if sep and int(lo) <= int(hi):
-            return int(lo), int(hi)
+        lo, hi = int(lo), int(hi)
     except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"{text!r} is not a range LO..HI with integers LO <= HI")
+        sep = ""
+    if not sep or lo > hi:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a range LO..HI with integers LO <= HI")
+    try:
+        check_scan_range(lo, hi)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
+    return lo, hi
 
 
 def _verdict_exit(verdict: str) -> int:

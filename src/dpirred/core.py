@@ -45,7 +45,7 @@ class Ring:
                 raise ValueError(f"{x} is not an integer")
             return int(x)
         if self.kind == "Q":
-            return Fraction(x)
+            return x if isinstance(x, Fraction) else Fraction(x)
         if isinstance(x, Fraction):
             if x.denominator % self.p == 0:
                 raise ValueError(f"{x} has no residue mod {self.p}")
@@ -524,7 +524,29 @@ class DirichletPoly(SparsePoly):
 
     @classmethod
     def parse(cls, s: str) -> "DirichletPoly":
-        """Parse the `a/i^s` text form, e.g. "4/4^s + 4/6^s - 2/8^s"."""
+        """Parse the `a/i^s` text form, e.g. "4/4^s + 4/6^s - 2/8^s".
+
+        Integer text (`c` and `c/i^s` terms joined by single signs) is read
+        by one regular-expression match into int coefficients; anything
+        else, and a digit run too long for int(), goes to the general parser.
+        """
+        t = s.strip()
+        if _Z_TEXT.fullmatch(t):
+            terms: dict[int, int] = {}
+            try:
+                for sign, c, i in _Z_TERM.findall(t):
+                    i = int(i) if i else 1
+                    terms[i] = terms.get(i, 0) + (-int(c) if sign == "-" else int(c))
+            except ValueError:  # past int()'s digit limit: the general parser's error
+                pass
+            else:
+                return cls(terms, ZZ)
+        return cls._parse_general(s)
+
+    @classmethod
+    def _parse_general(cls, s: str) -> "DirichletPoly":
+        """The text parser for every form: rationals, parentheses, `i^s`
+        with no coefficient, bare constants, JSON; errors name the term."""
         s = s.strip().replace("−", "-").replace("⁄", "/")
         if not s:
             raise ValueError("empty input")
@@ -609,6 +631,11 @@ def _split_terms(s: str) -> list[tuple[int, str]]:
         raise ValueError(f"no terms in {s!r}")
     return out
 
+
+# integer text: an optional leading "-", then terms c or c/i^s (i with no
+# leading zero) joined by single signs, spaces only around the signs
+_Z_TEXT = re.compile(r"-? *[0-9]+(?:/[1-9][0-9]*\^s)?(?: *[-+] *[0-9]+(?:/[1-9][0-9]*\^s)?)*")
+_Z_TERM = re.compile(r"([-+]?) *([0-9]+)(?:/([0-9]+)\^s)?")
 
 _TERM_RE = re.compile(
     r"^\s*(?:(?P<coeff>\((?:[^()]*)\)|\d+(?:/\d+)?|\d+)\s*/\s*)?(?P<idx>\d+)\s*\^\s*s\s*$"

@@ -21,6 +21,12 @@ from .report import CriterionReport, inconclusive
 
 MR_DETERMINISTIC_LIMIT = 3_317_044_064_679_887_385_961_981
 SCAN_Q_CAP = 64
+# Largest t, and most values of t, one scan_t call tries.  |f(-t)| grows with
+# t and each t costs more than the one before: over the inputs of the golden
+# CLI tests the slowest scan of 1..500 (the Figure 1 input, no witness) takes
+# 1.9 s of CPU, 1..600 takes 3.7 s and 1..1000 takes 25 s (Python 3.11.7 on
+# a shared 2-core x86-64 host).
+SCAN_T_CAP = 500
 
 
 def gelfond_factor_height_bound(f: DirichletPoly) -> int:
@@ -205,11 +211,20 @@ def prime_value_test(
     )
 
 
+def check_scan_range(t_from: int, t_to: int) -> None:
+    """Raise ValueError unless [t_from, t_to] lies within SCAN_T_CAP."""
+    if t_to > SCAN_T_CAP or t_to - t_from >= SCAN_T_CAP:
+        raise ValueError(f"scan range {t_from}..{t_to} is past the cap: at most "
+                         f"{SCAN_T_CAP} values of t, none above {SCAN_T_CAP}")
+
+
 def scan_t(f: DirichletPoly, t_from: int, t_to: int) -> tuple[int, CriterionReport] | None:
     """Convenience sweep: look for t in [t_from, t_to] whose value |f(-t)|
     has the shape P^ell * q with q <= SCAN_Q_CAP, and run the test there.  The
     shape search uses exact root extraction plus a primality check that is
-    heuristic for huge P; the fired criterion itself stays exact."""
+    heuristic for huge P; the fired criterion itself stays exact.  A range
+    past SCAN_T_CAP raises ValueError."""
+    check_scan_range(t_from, t_to)
     for t in range(t_from, t_to + 1):
         v = abs(f.evaluate_at_negative(t))
         if v < 2:

@@ -266,6 +266,30 @@ def test_oversized_segment_box_is_rejected_without_hanging():
     assert proc.stderr.startswith("error: ")
 
 
+def test_scan_range_past_the_cap_is_rejected_without_hanging():
+    # 10^8 values of f(-t), each larger than the last: run it in a child that
+    # a timeout stops
+    argv = ["prime-value", "-1 + 1/4^s", "--scan-t=1..100000000"]
+    proc = subprocess.run([sys.executable, "-m", "dpirred.cli", *argv],
+                          capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: argument --scan-t: scan range 1..100000000 is past the cap")
+
+
+@pytest.mark.parametrize("command", ["analyze", "prime-value"])
+def test_scan_range_cap_bounds_width_and_top(command, capsys):
+    from dpirred.primevalue import SCAN_T_CAP
+
+    # the input gets its verdict before any scan: only the range is judged
+    for bad in (f"1..{SCAN_T_CAP + 1}", f"{-SCAN_T_CAP}..0"):
+        assert main([command, "1 + 1/2^s", f"--scan-t={bad}"]) == 1
+        assert capsys.readouterr().err.startswith("error: argument --scan-t: scan range ")
+    assert main([command, "-1 + 1/4^s", "--scan-t", f"{SCAN_T_CAP}..{SCAN_T_CAP}"]) in (0, 2)
+    assert main([command, "-1 + 1/4^s", "--scan-t", f"1..{SCAN_T_CAP}"]) in (0, 2)
+
+
 def test_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["analyze", "--help"])

@@ -1,10 +1,12 @@
 import random
+import time
 from functools import reduce
 from math import gcd
 
 import pytest
 from fractions import Fraction
 
+from dpirred import core
 from dpirred.core import (
     DirichletPoly,
     GF,
@@ -183,6 +185,64 @@ def test_text_round_trip():
     g = DirichletPoly({1: Fraction(3, 2), 4: Fraction(-1, 6)}, QQ)
     assert DirichletPoly.parse(g.text()) == g
     assert DirichletPoly.parse("1 + 1/2^s + 1/3^s") == DirichletPoly({1: 1, 2: 1, 3: 1})
+
+
+_LONG_RUN = "1" * 4301  # one digit past int()'s default conversion limit
+_PARSE_TOKENS = [*"0123456789", "0", "07", "+", "-", "+-", "/", "^", "s", "^s", "/4^s",
+                 "1/2", "(", ")", "\u2212", "\u2044", " ", "\t", "\n", "\xa0", "\u2003"]
+
+
+def _token(rng):
+    # the long run is rare: the general parser walks it one character at a time
+    return _LONG_RUN if rng.random() < 0.004 else rng.choice(_PARSE_TOKENS)
+
+
+def _parse_outcome(parse, text):
+    try:
+        f = parse(text)
+    except Exception as e:  # the type and message are what is compared
+        return type(e), str(e)
+    return f.ring, f.terms, [type(c) for c in f.terms.values()]
+
+
+def _z_text(rng):
+    """Integer text in the fast path's grammar, with its corner cases."""
+    out = rng.choice(["", "-", "- "])
+    for k in range(rng.randint(1, 5)):
+        if k:
+            out += rng.choice(["+", "-", " + ", " - ", "  -", "+ "])
+        out += str(rng.choice([0, 1, 1, 2, 7, 12, 10**30]))
+        if rng.random() < 0.8:
+            out += f"/{rng.choice([0, 1, 2, 2, 3, 4, 6, 10, 97])}^s"
+    return out
+
+
+def test_parse_matches_general_parser():
+    """DirichletPoly.parse (integer fast path first) and the general parser
+    give the same ring and terms, or the same exception and message, on
+    seeded strings over a token alphabet and on mutated integer text."""
+    cases = [
+        "1/2^s + 1/2^s", "1/2^s - 1/2^s", "1/1^s", "3 + 1/1^s", "-1 + 1/4^s",
+        "0/2^s", "0", "-0", "07/2^s", "1/07^s", "1/0^s", "1 + 1/0^s", "2^s", "3/2", "1 + -2",
+        "1 +-2/3^s", _LONG_RUN, f"{_LONG_RUN}/2^s", f"1/{_LONG_RUN}^s", f"1 + {_LONG_RUN}",
+        "", " ", "-", "+1", "1 2", "1//2^s", "\u22121 \u2212 1\u20442^s", " 4/4^s + 4/6^s - 2/8^s\n",
+    ]
+    rng = random.Random(19)
+    for _ in range(12_000):
+        cases.append("".join(_token(rng) for _ in range(rng.randint(1, 8))))
+    for _ in range(12_000):
+        text = list(_z_text(rng))
+        for _ in range(rng.choice([0, 0, 1, 2])):
+            text.insert(rng.randint(0, len(text)), _token(rng))
+        cases.append("".join(text))
+    start = time.thread_time()
+    fast = 0
+    for text in cases:
+        fast += bool(core._Z_TEXT.fullmatch(text.strip()))
+        expected = _parse_outcome(DirichletPoly._parse_general, text)
+        assert _parse_outcome(DirichletPoly.parse, text) == expected, text
+    assert fast > len(cases) // 4  # the fast path is exercised, not only the fallback
+    assert time.thread_time() - start < 5
 
 
 def test_json_round_trip():

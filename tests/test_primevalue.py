@@ -6,6 +6,7 @@ import pytest
 from dpirred.core import DirichletPoly, max_exponents
 from dpirred.certlog import LogProduct, NEGATIVE, POSITIVE, ZERO, ln_bounds
 from dpirred.primevalue import (
+    SCAN_T_CAP,
     gelfond_factor_height_bound,
     prime_value_test,
     pth_root_is_irrational,
@@ -134,6 +135,14 @@ def test_scan_t_finds_fermat_witness():
     assert hit is not None
     t, rep = hit
     assert rep.verdict == report.IRREDUCIBLE
+
+
+def test_scan_t_refuses_a_range_past_the_cap():
+    f = DirichletPoly({1: -1, 4: 1})
+    for lo, hi in ((1, SCAN_T_CAP + 1), (0, SCAN_T_CAP), (10**8, 10**8)):
+        with pytest.raises(ValueError, match="past the cap"):
+            scan_t(f, lo, hi)
+    assert scan_t(f, 1, SCAN_T_CAP) is None  # no witness, every t tried
 
 
 def _perfect_root(n, P):
