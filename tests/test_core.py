@@ -228,7 +228,7 @@ def test_parse_matches_general_parser():
         "", " ", "-", "+1", "1 2", "1//2^s", "\u22121 \u2212 1\u20442^s", " 4/4^s + 4/6^s - 2/8^s\n",
     ]
     rng = random.Random(19)
-    for _ in range(12_000):
+    for _ in range(20_000):
         cases.append("".join(_token(rng) for _ in range(rng.randint(1, 8))))
     for _ in range(12_000):
         text = list(_z_text(rng))
