@@ -411,9 +411,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    def common(p):
-        p.add_argument("--format", choices=("text", "json", "ascii"), default="text")
-        p.add_argument("--assume-log-independence", action="store_true")
+    def common(p, formats=("text", "json")):
+        p.add_argument("--format", choices=formats, default="text")
 
     p = sub.add_parser("analyze", help="run the criterion pipeline")
     p.add_argument("input")
@@ -422,13 +421,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scan-t", type=_int_range, help="prime-value witness scan, e.g. 1..16")
     p.add_argument("--prime", "-p", type=_prime, action="append",
                    help="attach the polygon at this prime to the report (repeatable)")
+    p.add_argument("--assume-log-independence", action="store_true")
     common(p)
     p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("polygon", help="Newton log-polygon at a prime")
     p.add_argument("input")
     p.add_argument("--prime", "-p", type=_prime, required=True)
-    common(p)
+    common(p, ("text", "json", "ascii"))
     p.set_defaults(fn=cmd_polygon)
 
     p = sub.add_parser("upper-polygon", help="upper polygon of a multivariate input")
@@ -440,6 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("polytope", help="Newton log-polytope of a multivariate input")
     p.add_argument("input")
+    p.add_argument("--assume-log-independence", action="store_true")
     common(p)
     p.set_defaults(fn=cmd_polytope)
 
@@ -450,6 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=_positive_int, default=2)
     p.add_argument("--d", type=_positive_int, default=1)
     p.add_argument("--g", help="second polynomial for the R matrix")
+    p.add_argument("--assume-log-independence", action="store_true")
     common(p)
     p.set_defaults(fn=cmd_rank)
 

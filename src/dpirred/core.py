@@ -76,9 +76,12 @@ def GF(p: int) -> Ring:
 # ---------------------------------------------------------------------------
 # integer helpers
 
-_FACTOR_CACHE: dict[int, tuple[tuple[int, int], ...]] = {}
-
 FACTOR_CAP_DEFAULT = 10**7
+
+# {p: v_p(n)} for every n <= 10^6 factored so far: the one factorization cache,
+# filled by factor_integer and read by exponents.  A returned factorization is
+# complete whatever the cap (a capped search raises), so no entry depends on it.
+_EXPONENT_CACHE: dict[int, Mapping[int, int]] = {}
 
 
 def factor_integer(n: int, cap: int = FACTOR_CAP_DEFAULT) -> list[tuple[int, int]]:
@@ -89,8 +92,9 @@ def factor_integer(n: int, cap: int = FACTOR_CAP_DEFAULT) -> list[tuple[int, int
     """
     if n < 1:
         raise ValueError(f"factor_integer needs n >= 1, got {n}")
-    if n in _FACTOR_CACHE:
-        return list(_FACTOR_CACHE[n])
+    cached = _EXPONENT_CACHE.get(n)
+    if cached is not None:
+        return list(cached.items())
     m, out = n, []
     for p in (2, 3):
         if m % p == 0:
@@ -115,25 +119,19 @@ def factor_integer(n: int, cap: int = FACTOR_CAP_DEFAULT) -> list[tuple[int, int
         out.append((m, 1))
     out.sort()
     if n <= 10**6:
-        _FACTOR_CACHE[n] = tuple(out)
+        _EXPONENT_CACHE[n] = MappingProxyType(dict(out))
     return out
-
-
-_EXPONENT_CACHE: dict[int, Mapping[int, int]] = {}
 
 
 def exponents(n: int) -> Mapping[int, int]:
     """The prime exponents {p: v_p(n)} of n >= 1, primes ascending.
 
     The one source of index exponents for every lattice, segment and log
-    question; cached like factor_integer.  The mapping is shared between
-    callers, hence read-only.
+    question.  The mapping is shared between callers, hence read-only.
     """
     out = _EXPONENT_CACHE.get(n)
     if out is None:
         out = MappingProxyType(dict(factor_integer(n)))
-        if n <= 10**6:
-            _EXPONENT_CACHE[n] = out
     return out
 
 
@@ -203,16 +201,10 @@ def valuation(n: int, p: int) -> int:
     return v
 
 
-def valuation_q(q: Fraction, p: int) -> int:
-    if q == 0:
-        raise ValueError("valuation of 0 is infinite")
-    return valuation(q.numerator, p) - valuation(q.denominator, p)
-
-
 def divisors(n: int) -> list[int]:
     """All positive divisors of n, ascending."""
     ds = [1]
-    for p, e in factor_integer(n):
+    for p, e in exponents(n).items():
         ds = [d * p**k for d in ds for k in range(e + 1)]
     return sorted(ds)
 
@@ -247,7 +239,7 @@ def is_prime(n: int) -> bool:
 def smallest_prime_factor(n: int) -> int:
     if n < 2:
         raise ValueError("no prime factor")
-    return factor_integer(n)[0][0]
+    return next(iter(exponents(n)))
 
 
 def gcd_list(xs) -> int:
@@ -264,9 +256,11 @@ def gcd_list(xs) -> int:
 class SparsePoly:
     """Sparse polynomial over Z, Q or F_p, keyed by index: what the one-
     and many-variable Dirichlet classes share.  Subclasses give the index
-    product `_times`, the index `ONE` of the constant term and `_like(terms)`,
-    a new polynomial of the same kind; one with several variables adds them
-    to `_frame()`, what two equal polynomials or two operands must share.
+    product `_times`, the index gcd `_index_gcd(indices)` and division
+    `_index_div(i, d)`, the index `ONE` of the constant term and
+    `_like(terms)`, a new polynomial of the same kind; one with several
+    variables adds them to `_frame()`, what two equal polynomials or two
+    operands must share.
 
     Immutable after construction; no zero coefficients are stored.
     """
@@ -344,6 +338,24 @@ class SparsePoly:
             r = r * self
         return r
 
+    def algebraic_shift(self):
+        """gcd of the support indices (coordinate by coordinate for a tuple)."""
+        if self.is_zero():
+            raise ValueError("zero polynomial")
+        return self._index_gcd(self._terms)
+
+    def is_algebraically_primitive(self) -> bool:
+        """Whether the algebraic shift is the unit index; False for zero."""
+        return bool(self._terms) and self._index_gcd(self._terms) == self.ONE
+
+    def algebraically_primitive_part(self):
+        """The polynomial with every index divided by the algebraic shift."""
+        d = self.algebraic_shift()
+        if d == self.ONE:
+            return self
+        div = self._index_div
+        return self._like({div(i, d): c for i, c in self._terms.items()})
+
 
 class DirichletPoly(SparsePoly):
     """Sparse Dirichlet polynomial over Z, Q, or F_p, keyed by int index."""
@@ -370,6 +382,12 @@ class DirichletPoly(SparsePoly):
     @staticmethod
     def _times(i: int, j: int) -> int:
         return i * j
+
+    _index_gcd = staticmethod(gcd_list)
+
+    @staticmethod
+    def _index_div(i: int, d: int) -> int:
+        return i // d
 
     def _like(self, terms) -> "DirichletPoly":
         return DirichletPoly(terms, self.ring)
@@ -418,15 +436,6 @@ class DirichletPoly(SparsePoly):
             return Fraction(num, lcm(*(c.denominator for c in self._terms.values())))
         raise ValueError("content over a field is a unit")
 
-    def is_algebraically_primitive(self) -> bool:
-        return gcd_list(self._terms) == 1 if self._terms else False
-
-    def algebraic_shift(self) -> int:
-        """gcd of the support indices."""
-        if self.is_zero():
-            raise ValueError("zero polynomial")
-        return gcd_list(self._terms)
-
     def normalize(self):
         """Split f into content, primitive part, index shift, and the
         algebraically primitive part (indices divided by their gcd).
@@ -448,9 +457,7 @@ class DirichletPoly(SparsePoly):
                  for i, a in self._terms.items()},
                 self.ring,
             )
-        d = self.algebraic_shift()
-        alg = DirichletPoly({i // d: a for i, a in prim._terms.items()}, self.ring)
-        return c, prim, d, alg
+        return c, prim, self.algebraic_shift(), prim.algebraically_primitive_part()
 
     def z_primitive_part(self) -> "DirichletPoly":
         """Integer primitive part of a Z or Q polynomial (positive leading)."""

@@ -140,14 +140,7 @@ def smallest_prime_with_multiplicity(n: int, k: int) -> int | None:
     return None
 
 
-@dataclass(frozen=True)
-class PowerFreeCertificate:
-    k: int
-    rule: str
-    detail: str
-
-
-def multiplicity_bound(f: DirichletPoly) -> tuple[list[PowerFreeCertificate], int | None]:
+def multiplicity_bound(f: DirichletPoly) -> tuple[list[dict], int | None]:
     """k-power-freeness certificates for k = 2..M(deg f), plus the best bound.
 
     Returns (certificates, bound) where bound means M(f) <= bound, or None
@@ -160,7 +153,7 @@ def multiplicity_bound(f: DirichletPoly) -> tuple[list[PowerFreeCertificate], in
     M = max_multiplicity(n)
     if M <= 1:
         return (
-            [PowerFreeCertificate(2, "square-free-degree", f"deg {n} is square-free")],
+            [{"k": 2, "rule": "square-free-degree", "detail": f"deg {n} is square-free"}],
             1,
         )
 
@@ -169,7 +162,7 @@ def multiplicity_bound(f: DirichletPoly) -> tuple[list[PowerFreeCertificate], in
     above = [i for i in supp if i > m]
     i_max = max(below) if below else None
     i_min = min(above) if above else None
-    certs: list[PowerFreeCertificate] = []
+    certs: list[dict] = []
     fired_k = None
 
     for k in range(2, M + 1):
@@ -177,23 +170,20 @@ def multiplicity_bound(f: DirichletPoly) -> tuple[list[PowerFreeCertificate], in
         if q_k is not None and i_max is not None:
             gap = min(n_below_k(n, k), q_k) * q_k ** (k - 1)
             if i_max > n - gap:
-                certs.append(PowerFreeCertificate(
-                    k, "near-degree-gap",
-                    f"nonzero term at {i_max} > {n} - {gap}: {k}-power-free"))
+                certs.append({"k": k, "rule": "near-degree-gap", "detail":
+                              f"nonzero term at {i_max} > {n} - {gap}: {k}-power-free"})
                 if fired_k is None:
                     fired_k = k
                 continue
         Mm = max_multiplicity(m)
         if Mm >= k and i_min is not None:
             qm = smallest_prime_with_multiplicity(m, k)
-            rk = smallest_prime_with_multiplicity(n, k)
-            if qm is not None and rk is not None and m * rk**k > n:
+            if qm is not None and q_k is not None and m * q_k**k > n:
                 gap = min(n_below_k(m, k), qm) * qm ** (k - 1)
                 if i_min < m + gap:
-                    certs.append(PowerFreeCertificate(
-                        k, "near-min-degree-gap",
-                        f"nonzero term at {i_min} < {m} + {gap} and m > n/{rk}^{k}: "
-                        f"{k}-power-free"))
+                    certs.append({"k": k, "rule": "near-min-degree-gap", "detail":
+                                  f"nonzero term at {i_min} < {m} + {gap} and "
+                                  f"m > n/{q_k}^{k}: {k}-power-free"})
                     if fired_k is None:
                         fired_k = k
 
@@ -209,5 +199,5 @@ def multiplicity_report(f: DirichletPoly) -> CriterionReport:
         verdict,
         "multiplicity-bounds",
         f"max factor multiplicity <= {bound}",
-        certificate={"bound": bound, "certificates": [c.__dict__ for c in certs]},
+        certificate={"bound": bound, "certificates": certs},
     )

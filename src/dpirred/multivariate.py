@@ -40,6 +40,14 @@ class MultiDirichletPoly(SparsePoly):
     def _times(i1: tuple, i2: tuple) -> tuple:
         return tuple(x * y for x, y in zip(i1, i2))
 
+    @staticmethod
+    def _index_gcd(indices) -> tuple:
+        return tuple(map(gcd_list, zip(*indices)))
+
+    @staticmethod
+    def _index_div(i: tuple, d: tuple) -> tuple:
+        return tuple(x // g for x, g in zip(i, d))
+
     @property
     def ONE(self) -> tuple:
         return (1,) * len(self.vars)
@@ -65,23 +73,6 @@ class MultiDirichletPoly(SparsePoly):
     def degree_in(self, var: str) -> int:
         k = self.vars.index(var)
         return max((idx[k] for idx in self._terms), default=0)
-
-    def algebraic_shift(self) -> tuple[int, ...]:
-        """Per-coordinate gcd of the support indices."""
-        if self.is_zero():
-            raise ValueError("zero polynomial")
-        out = []
-        for k in range(len(self.vars)):
-            out.append(gcd_list(idx[k] for idx in self._terms))
-        return tuple(out)
-
-    def is_algebraically_primitive(self) -> bool:
-        return all(d == 1 for d in self.algebraic_shift())
-
-    def algebraically_primitive_part(self):
-        d = self.algebraic_shift()
-        return self._like(
-            {tuple(i // g for i, g in zip(idx, d)): c for idx, c in self._terms.items()})
 
     def coefficient_polys(self, outer: str):
         """Split off one indeterminate: map outer-index -> the coefficient,

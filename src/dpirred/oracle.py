@@ -27,7 +27,7 @@ from itertools import product
 from math import gcd
 
 from .core import (DirichletPoly, UnfactoredResidueError, common_ring, divisors, exponents,
-                   gcd_list, max_exponents, smallest_prime_factor)
+                   max_exponents, smallest_prime_factor)
 from .certlog import multiplicative_dependence_ratio
 
 FACTORED = "factored"
@@ -289,8 +289,6 @@ def _signed_divisors(a: int) -> list[int]:
 
 def _search_z(fd: dict, height_bound: int, node_cap: int):
     """Returns (factor pair | None, exhausted_exactly, nodes)."""
-    from itertools import product as iproduct
-
     m, n = min(fd), max(fd)
     a_m, a_n = fd[m], fd[n]
     nodes = 0
@@ -337,7 +335,7 @@ def _search_z(fd: dict, height_bound: int, node_cap: int):
         for c1, d1, mids in wide:
             boxed, sym = mids[:-1], mids[-1]
             ends = ends_for()
-            for assign in iproduct(near_zero_first, repeat=len(boxed)):
+            for assign in product(near_zero_first, repeat=len(boxed)):
                 if max(abs(v) for v in assign) <= prev:
                     continue
                 for blo, bhi in ends:
@@ -404,10 +402,9 @@ def brute_force_factor(f: DirichletPoly, node_cap: int = NODE_CAP_DEFAULT) -> Or
     else:
         work = f.normalize()[1]  # strip content and sign
 
-    supp = work.support()
-    d = gcd_list(supp)
+    d = work.algebraic_shift()
     if d > 1:
-        if len(supp) == 1:
+        if len(work.support()) == 1:
             i, c = next(iter(work.items()))
             q = smallest_prime_factor(i)
             if q == i:
@@ -416,8 +413,7 @@ def brute_force_factor(f: DirichletPoly, node_cap: int = NODE_CAP_DEFAULT) -> Or
             h = DirichletPoly({i // q: c}, ring)
             return OracleResult(FACTORED, _verified(work, g, h))
         g = DirichletPoly({d: 1}, ring)
-        h = DirichletPoly({i // d: c for i, c in work.items()}, ring)
-        return OracleResult(FACTORED, _verified(work, g, h))
+        return OracleResult(FACTORED, _verified(work, g, work.algebraically_primitive_part()))
 
     fd = dict(work.items())
     if ring.kind == "Fp":

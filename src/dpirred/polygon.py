@@ -21,18 +21,10 @@ from fractions import Fraction
 from functools import cmp_to_key
 from math import gcd, lcm
 
-from .core import (DirichletPoly, exponents, gcd_list, is_prime, log_gcd, log_points, valuation,
-                   valuation_q)
+from .core import DirichletPoly, exponents, gcd_list, is_prime, log_gcd, log_points, valuation
 from .degrees import relative_degree_sets
 from . import report
 from .report import CriterionReport, inconclusive, irreducible
-
-
-def nu(coeff, p: int) -> int:
-    """p-adic valuation of a nonzero integer or rational coefficient."""
-    if isinstance(coeff, Fraction):
-        return valuation_q(coeff, p)
-    return valuation(coeff, p)
 
 
 def _nu_points(a, b):
@@ -180,9 +172,7 @@ def build_polygon(f: DirichletPoly, p: int) -> LogPolygon:
     elif f.ring.kind != "Z":
         raise ValueError("polygon needs integer or rational coefficients")
     shift = f.algebraic_shift()
-    if shift > 1:
-        f = DirichletPoly({i // shift: c for i, c in f.items()}, f.ring)
-    plotted = tuple((i, nu(c, p)) for i, c in f.items())
+    plotted = tuple((i, valuation(c, p)) for i, c in f.algebraically_primitive_part().items())
 
     vertices, edges = log_hull(plotted, lambda a, b, c: _chord_cmp(a, b, c) >= 0, _nu_points)
     return LogPolygon(p, vertices, edges, shift, plotted)
@@ -246,13 +236,13 @@ def dumas_test(f: DirichletPoly, p: int, shift_t: int = 0) -> CriterionReport:
     if f.ring.kind == "Q":
         f = f.z_primitive_part()
     m, n = f.deg_min, f.degree
-    tw = {i: nu(c, p) + shift_t * exponents(i).get(p, 0) for i, c in f.items()}
+    tw = {i: valuation(c, p) + shift_t * exponents(i).get(p, 0) for i, c in f.items()}
     vm, vn = tw[m], tw[n]
     if vm == vn:
         return inconclusive("dumas", f"equal endpoint valuations at p={p}, t={shift_t}")
     for i, vi in tw.items():
         if m < i < n:
-            if Fraction(n, i) ** (vi - vm) <= Fraction(m, i) ** (vi - vn):
+            if _chord_cmp((m, vm), (i, vi), (n, vn)) <= 0:
                 return inconclusive(
                     "dumas", f"support point {i} not above the endpoint chord (p={p})")
     g = gcd(vn - vm, log_gcd(m, n))
@@ -500,7 +490,7 @@ def slope_exclusions(f: DirichletPoly, p: int):
     sets = relative_degree_sets(m, n)
     nm = Fraction(n, m)
     ratios = sorted(sets.s_rd)
-    vals = {i: nu(c, p) for i, c in f.items()}
+    vals = {i: valuation(c, p) for i, c in f.items()}
     nondiv = [i for i, v in vals.items() if v == 0]
     poly = build_polygon(f, p)
     intervals: list[ExclusionInterval] = []

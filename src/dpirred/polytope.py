@@ -119,8 +119,7 @@ def hull_vertices(points: list[ExponentPoint]) -> list[ExponentPoint]:
     """Vertex set of the log hull of the given support points.
 
     One variable: exact (min and max index).  Several variables: the
-    exponent-lift notion, exact rational linear programming per point, with
-    a direction-exposure fast path."""
+    exponent-lift notion, exact rational linear programming per point."""
     pts = sorted(set(points))
     if len(pts) <= 2:
         return pts
@@ -128,33 +127,8 @@ def hull_vertices(points: list[ExponentPoint]) -> list[ExponentPoint]:
         return [pts[0], pts[-1]]
     primes = _lift_basis(pts)
     lifted = {pt: _lift(pt, primes) for pt in pts}
-    dim = len(next(iter(lifted.values())))
-
-    # fast path: a point uniquely extremal in some coordinate direction is a
-    # vertex (strict exposure)
-    certain = set()
-    for d in range(dim):
-        for sign in (1, -1):
-            best = None
-            best_pts = []
-            for pt in pts:
-                v = sign * lifted[pt][d]
-                if best is None or v > best:
-                    best, best_pts = v, [pt]
-                elif v == best:
-                    best_pts.append(pt)
-            if len(best_pts) == 1:
-                certain.add(best_pts[0])
-
-    out = []
-    for pt in pts:
-        if pt in certain:
-            out.append(pt)
-            continue
-        others = [lifted[q] for q in pts if q != pt]
-        if not _in_hull_lift(lifted[pt], others):
-            out.append(pt)
-    return sorted(out)
+    return [pt for pt in pts
+            if not _in_hull_lift(lifted[pt], [lifted[q] for q in pts if q != pt])]
 
 
 @dataclass(frozen=True)
@@ -205,12 +179,9 @@ def two_term_absolute_irreducibility(
     The reducible direction needs roots of the coefficients, so over a field
     that is not declared algebraically closed only the irreducible direction
     is reported."""
-    supp = f.support()
-    if len(supp) != 2:
+    if len(f.support()) != 2:
         raise ValueError("needs exactly two terms")
-    if not f.is_algebraically_primitive():
-        f = f.algebraically_primitive_part()
-        supp = f.support()
+    f = f.algebraically_primitive_part()
     (va, ca), (vb, cb) = sorted(f.items())
     g = gcd_list(e for x in va + vb for e in exponents(x).values())
     if g == 1:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 
-from .core import DirichletPoly, exponents, iroot, is_prime, max_exponents, smallest_prime_factor
+from .core import DirichletPoly, exponents, is_prime, max_exponents, smallest_prime_factor
 from .certlog import IV, ln_bounds, PRECISION_START_BITS
 from . import certlog, report
 from .report import CriterionReport, inconclusive
@@ -162,7 +162,7 @@ def prime_value_test(
     d = f.algebraic_shift()
     if d > 1 and len(f.support()) > 1:
         g = DirichletPoly({d: 1}, f.ring)
-        h = DirichletPoly({i // d: c for i, c in f.items()}, f.ring)
+        h = f.algebraically_primitive_part()
         return CriterionReport(
             report.REDUCIBLE, "prime-value",
             f"not algebraically primitive: single-term factor 1/{d}^s",
@@ -220,10 +220,10 @@ def check_scan_range(t_from: int, t_to: int) -> None:
 
 def scan_t(f: DirichletPoly, t_from: int, t_to: int) -> tuple[int, CriterionReport] | None:
     """Convenience sweep: look for t in [t_from, t_to] whose value |f(-t)|
-    has the shape P^ell * q with q <= SCAN_Q_CAP, and run the test there.  The
-    shape search uses exact root extraction plus a primality check that is
-    heuristic for huge P; the fired criterion itself stays exact.  A range
-    past SCAN_T_CAP raises ValueError."""
+    is a prime P times a cofactor q <= SCAN_Q_CAP, and run the test there
+    with ell = 1; prime-power values P^ell, ell >= 2, are not scanned.  The
+    primality check is heuristic for huge P; the fired criterion itself
+    stays exact.  A range past SCAN_T_CAP raises ValueError."""
     check_scan_range(t_from, t_to)
     for t in range(t_from, t_to + 1):
         v = abs(f.evaluate_at_negative(t))
@@ -233,22 +233,12 @@ def scan_t(f: DirichletPoly, t_from: int, t_to: int) -> tuple[int, CriterionRepo
             if v % q:
                 continue
             w = v // q
-            if w < 2:
+            if not (is_prime(w) and (q % w or q == 1)):
                 continue
-            ell = 1
-            while True:
-                P = iroot(w, ell)
-                if P is None:
-                    ell += 1
-                    if 1 << ell > w:
-                        break
-                    continue
-                if P >= 2 and is_prime(P) and (q % P or q == 1):
-                    try:
-                        rep = prime_value_test(f, t, P, ell, q)
-                    except ValueError:
-                        break
-                    if rep.verdict == report.IRREDUCIBLE:
-                        return t, rep
-                break
+            try:
+                rep = prime_value_test(f, t, w, 1, q)
+            except ValueError:
+                continue
+            if rep.verdict == report.IRREDUCIBLE:
+                return t, rep
     return None

@@ -18,7 +18,6 @@ from math import gcd
 from .core import gcd_list, log_gcd
 from .certlog import (
     LogProduct,
-    NEGATIVE,
     POSITIVE,
     UNDECIDABLE as CMP_UNDECIDABLE,
     ZERO,
@@ -49,8 +48,7 @@ def build_upper_polygon(f: MultiDirichletPoly, outer: str, inner: str) -> UpperL
     cannot be certified at the precision cap."""
     if f.is_zero():
         raise ValueError("zero polynomial")
-    if not f.is_algebraically_primitive():
-        f = f.algebraically_primitive_part()
+    f = f.algebraically_primitive_part()
     coeffs = f.coefficient_polys(outer)
     plotted = []
     for i, a in coeffs.items():
@@ -126,18 +124,14 @@ def stepanov_schmidt_test(f: MultiDirichletPoly, outer: str, inner: str) -> Crit
             "upper-polygon", f"equal endpoint degrees deg a_{m} = deg a_{n} = {dm}")
     for i, di in degs.items():
         if m < i < n:
-            # need di < dm^(log(n/i)/log(n/m)) * dn^(log(i/m)/log(n/m)):
-            # multiply through by log(n/m) and compare products of logs
-            lp = LogProduct()
-            lp.add_product(Fraction(di), Fraction(n, m))
-            lp.add_product(Fraction(dm), Fraction(n, i), -1)
-            lp.add_product(Fraction(dn), Fraction(i, m), -1)
-            s = lp.compare()
+            # the turn (m, dm) -> (i, di) -> (n, dn) is positive iff (log i,
+            # log di) lies strictly below the chord, as in the hull's _drop
+            s = log_orientation((m, dm), (i, di), (n, dn))
             if s == CMP_UNDECIDABLE:
                 return CriterionReport(
                     report.UNDECIDABLE, "upper-polygon",
                     f"chord comparison at index {i} hit the precision cap")
-            if s != NEGATIVE:
+            if s != POSITIVE:
                 return inconclusive(
                     "upper-polygon",
                     f"coefficient degree at index {i} not strictly below the chord")

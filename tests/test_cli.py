@@ -208,6 +208,21 @@ MISSING_ARGUMENT = [
     ["prime-value", "1 + 1/2^s"],
 ]
 F2_SQUARE = '{"ring":"Fp","p":2,"terms":[[1,1],[4,1]]}'
+ST_INPUT = '{"vars":["s","t"],"terms":[{"indices":[1,1],"coeff":1},{"indices":[2,3],"coeff":1}]}'
+# the subcommands with conditional verdicts, which --assume-log-independence ungates
+GATED = ("analyze", "polytope", "rank")
+# one argv per subcommand that exits 0 or 2 as it stands
+VALID_ARGV = [
+    ["analyze", "1 + 1/2^s"],
+    ["polygon", "1 + 1/2^s", "-p", "2"],
+    ["upper-polygon", ST_INPUT, "--outer", "s", "--inner", "t"],
+    ["polytope", ST_INPUT],
+    ["rank", F2_SQUARE, "--matrix", "B"],
+    ["prime-value", "1 + 1/4^s", "--t", "8", "--P", "65537"],
+    ["schonemann", "--variant", "pq", "--F", "1 + 1/5^s", "--G", "2 + 1/5^s", "--n", "2",
+     "--p", "2", "--q", "3"],
+    ["oracle", "factor", "-1 + 1/4^s"],
+]
 # a number outside its range (a prime, or an int >= 1), or a univariate
 # input where an s,t one is needed
 BAD_ARGUMENT = [
@@ -230,7 +245,22 @@ BAD_ARGUMENT = [
     ["prime-value", "1 + 1/2^s", "--scan-t", "9..1"],
     ["upper-polygon", "1 + 1/2^s", "--outer", "s", "--inner", "t"],
     ["polytope", "1 + 1/2^s"],
+    # an option the subcommand does not read: the log-independence flag
+    # outside the three that gate conditional verdicts, ASCII output outside polygon
+    *([*argv, "--assume-log-independence"] for argv in VALID_ARGV if argv[0] not in GATED),
+    *([*argv, "--format", "ascii"] for argv in VALID_ARGV if argv[0] != "polygon"),
 ]
+OPTIONS_READ = [
+    *VALID_ARGV,
+    *([*argv, "--assume-log-independence"] for argv in VALID_ARGV if argv[0] in GATED),
+    [*VALID_ARGV[1], "--format", "ascii"],
+]
+
+
+@pytest.mark.parametrize("argv", OPTIONS_READ, ids=[" ".join(argv) for argv in OPTIONS_READ])
+def test_valid_argv_runs(capsys, argv):
+    assert main(argv) in (0, 2)
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize(

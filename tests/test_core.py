@@ -1,7 +1,7 @@
 import random
 import time
 from functools import reduce
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 from fractions import Fraction
@@ -19,8 +19,10 @@ from dpirred.core import (
     iroot,
     log_gcd,
     max_exponents,
+    smallest_prime_factor,
     valuation,
 )
+from dpirred.multivariate import MultiDirichletPoly
 
 FIG1 = DirichletPoly({4: 4, 6: 4, 8: 2, 9: 1, 10: 4, 12: 1, 15: 2})
 G_FACTOR = DirichletPoly({2: 2, 3: 1, 4: 1, 5: 2})
@@ -93,6 +95,42 @@ def test_primitive_product_is_primitive():
         fa = f.normalize()[3]
         ga = g.normalize()[3]
         assert (fa * ga).is_algebraically_primitive()
+
+
+def test_algebraically_primitive_part_matches_index_division():
+    rng = random.Random(29)
+    seen_shift = 0
+    for ring in (ZZ, QQ, GF(5)):
+        for _ in range(200):
+            base = rand_poly(rng, ring=ring)
+            if base.is_zero():
+                continue
+            k = rng.randint(1, 4)
+            f = DirichletPoly({i * k: c for i, c in base.items()}, ring)
+            d = reduce(gcd, f.support())
+            ref = DirichletPoly({i // d: c for i, c in f.items()}, ring)
+            assert f.algebraic_shift() == d
+            assert f.is_algebraically_primitive() == (d == 1)
+            assert f.algebraically_primitive_part() == ref
+            prim = f.normalize()[1]
+            assert f.normalize()[3] == DirichletPoly({i // d: c for i, c in prim.items()}, ring)
+            seen_shift += d > 1
+
+            k2 = rng.randint(1, 3)
+            g = MultiDirichletPoly({(i * k, rng.randint(1, 4) * k2): c for i, c in base.items()},
+                                   ("s", "t"), ring)
+            ds = tuple(reduce(gcd, col) for col in zip(*g.support()))
+            assert g.algebraic_shift() == ds
+            assert g.is_algebraically_primitive() == (ds == (1, 1))
+            assert g.algebraically_primitive_part() == MultiDirichletPoly(
+                {tuple(x // e for x, e in zip(idx, ds)): c for idx, c in g.items()},
+                ("s", "t"), ring)
+    assert seen_shift > 100
+    for zero in (DirichletPoly({}), MultiDirichletPoly({}, ("s", "t"))):
+        assert not zero.is_algebraically_primitive()
+        for method in (zero.algebraic_shift, zero.algebraically_primitive_part):
+            with pytest.raises(ValueError, match="zero polynomial"):
+                method()
 
 
 # phi, which sends 1/p^s to a variable X_p, as a reference for the Dirichlet
@@ -251,6 +289,50 @@ def test_json_round_trip():
         assert DirichletPoly.from_json(f.to_json()) == f
     assert DirichletPoly.from_json('{"ring":"Z","terms":[[4,4],[6,4]]}') == \
         DirichletPoly({4: 4, 6: 4})
+
+
+def _trial_factor(n):
+    out, p = [], 2
+    while p * p <= n:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        if e:
+            out.append((p, e))
+        p += 1
+    return out + [(n, 1)] if n > 1 else out
+
+
+def _trial_divisors(n):
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return sorted(set(small + [n // d for d in small]))
+
+
+# n above 10^6, which no cache holds: a prime, a prime power, a product of a
+# small prime and a large one, and eight primes
+UNCACHED = [1000003, 2**21, 3 * 999983, 7 * 1000003, 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19]
+
+
+@pytest.mark.parametrize("first", [factor_integer, exponents], ids=["factor_integer", "exponents"])
+def test_factorization_layers_share_one_cache(monkeypatch, first):
+    # whichever of the two fills the cache, all four read the same answers
+    monkeypatch.setattr(core, "_EXPONENT_CACHE", {})
+    ns = list(range(1, 5001)) + UNCACHED
+    for n in ns:
+        first(n)
+    for n in ns:
+        held = core._EXPONENT_CACHE.get(n)
+        assert (held is None) == (n in UNCACHED)
+        ref = _trial_factor(n)
+        assert factor_integer(n) == ref, n
+        assert list(exponents(n).items()) == ref, n
+        assert divisors(n) == _trial_divisors(n), n
+        if n > 1:
+            assert smallest_prime_factor(n) == ref[0][0], n
+        # read from the cache, never stored again, and nothing stored above 10^6
+        assert core._EXPONENT_CACHE.get(n) is held
+        assert held is None or exponents(n) is held
 
 
 def test_exponents_and_log_gcd():

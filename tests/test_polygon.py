@@ -1,10 +1,11 @@
 import random
 import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from dpirred.core import DirichletPoly
+from dpirred.core import DirichletPoly, exponents, log_gcd, log_points, valuation
 from dpirred.analyze import analyze_univariate
 from dpirred.degrees import relative_degree_sets
 from dpirred.oracle import brute_force_factor, FACTORED, IRREDUCIBLE_CERTIFIED
@@ -112,6 +113,61 @@ def test_dumas_equal_height_twist():
     f = DirichletPoly({1: 1, 2: 1})
     rep = dumas_test(f, 2, shift_t=1)
     assert rep.verdict == report.IRREDUCIBLE and rep.certificate["t"] == 1
+
+
+def _first_point_not_above_chord(f, p, t):
+    """The first interior support point that is not strictly above the
+    endpoint chord of the twisted valuations, by the power comparison
+    (n/i)^(v_i - v_m) <= (m/i)^(v_i - v_n), and whether it lies on the
+    chord; None when every interior point is above it."""
+    m, n = f.deg_min, f.degree
+    tw = {i: valuation(c, p) + t * exponents(i).get(p, 0) for i, c in f.items()}
+    vm, vn = tw[m], tw[n]
+    for i, vi in tw.items():
+        lhs, rhs = Fraction(n, i) ** (vi - vm), Fraction(m, i) ** (vi - vn)
+        if m < i < n and lhs <= rhs:
+            return i, lhs == rhs
+    return None
+
+
+def test_dumas_chord_decision_matches_power_comparison():
+    rng = random.Random(43)
+    ties = passed = 0
+    for _ in range(1500):
+        p, t = rng.choice((2, 3, 5)), rng.randint(0, 1)
+        m, k = rng.randint(1, 12), rng.choice((2, 3))
+        if rng.random() < 0.5:
+            # a chord with at least k - 1 interior log-integral points
+            n, vm = m * rng.choice((2, 3, 5, 6)) ** k, rng.randint(0, 3)
+            vn = vm + rng.choice((-k, k))
+        else:
+            n, (vm, vn) = rng.randint(m + 2, 80), rng.sample(range(4), 2)
+        # twisted valuation of every support point: the endpoints, some
+        # log-integral points of the chord itself and some random points
+        target = {m: vm, n: vn}
+        d = gcd(vn - vm, log_gcd(m, n))
+        for j, x in enumerate(log_points(m, n, d)[1:-1], 1):
+            if rng.random() < 0.6:
+                target[x] = vm + j * (vn - vm) // d
+        for _ in range(rng.randint(0, 2)):
+            target[rng.randint(m + 1, n - 1)] = rng.randint(0, 5)
+        terms = {}
+        for i, v in target.items():
+            e = v - t * exponents(i).get(p, 0)
+            if e >= 0:
+                terms[i] = rng.choice([u for u in (1, -1, 2, -3, 7) if u % p]) * p**e
+        f = DirichletPoly(terms)
+        if m not in terms or n not in terms or not f.is_algebraically_primitive():
+            continue
+        rep = polygon.dumas_test(f, p, shift_t=t)
+        ref = _first_point_not_above_chord(f, p, t)
+        if ref is None:
+            assert "not above" not in rep.detail
+            passed += len(terms) > 2
+        else:
+            assert rep.detail == f"support point {ref[0]} not above the endpoint chord (p={p})"
+            ties += ref[1]
+    assert ties > 100 and passed > 100
 
 
 def test_candidate_degrees_two_segment_profile():

@@ -174,6 +174,70 @@ def test_example13_degree_sweep():
         assert rep.verdict == report.IRREDUCIBLE, d
 
 
+def _first_point_not_below_chord(degs):
+    """The first interior (i, deg a_i) that the form ln(d_i) ln(n/m) -
+    ln(d_m) ln(n/i) - ln(d_n) ln(i/m) does not certify strictly below the
+    chord, with that form's sign; None when it certifies every one."""
+    m, n = min(degs), max(degs)
+    dm, dn = degs[m], degs[n]
+    for i, di in sorted(degs.items()):
+        if m < i < n:
+            lp = LogProduct()
+            lp.add_product(Fraction(di), Fraction(n, m))
+            lp.add_product(Fraction(dm), Fraction(n, i), -1)
+            lp.add_product(Fraction(dn), Fraction(i, m), -1)
+            sign = lp.compare()
+            if sign != NEGATIVE:
+                return i, sign
+    return None
+
+
+@pytest.mark.parametrize("bits", [None, 4])
+def test_stepanov_schmidt_chord_decision_matches_three_term_form(monkeypatch, bits):
+    if bits is not None:
+        monkeypatch.setattr(certlog, "PRECISION_START_BITS", bits)
+        monkeypatch.setattr(certlog, "PRECISION_CAP_BITS", bits)
+    rng = random.Random(47)
+    seen = {ZERO: 0, UNDECIDABLE: 0, POSITIVE: 0, None: 0}
+    for _ in range(600):
+        m = rng.randint(1, 6)
+        if rng.random() < 0.5:
+            # a chord with k - 1 interior log-integral points (m g^j, d h^j)
+            g, h, k, d = rng.choice((2, 3, 6)), rng.choice((2, 3, 5)), rng.choice((2, 3)), \
+                rng.randint(1, 3)
+            hs = [d * h**j for j in range(k + 1)]
+            if rng.random() < 0.5:
+                hs.reverse()
+            degs = {m * g**j: hs[j] for j in range(k + 1) if j in (0, k) or rng.random() < 0.6}
+            n = m * g**k
+        else:
+            n = rng.randint(m + 2, 60)
+            degs = dict(zip((m, n), rng.sample(range(1, 30), 2)))
+        for _ in range(rng.randint(0, 2)):
+            degs[rng.randint(m + 1, n - 1)] = rng.randint(1, max(degs[m], degs[n]) + 5)
+        terms = {(i, 1): 1 for i in degs}
+        terms.update({(i, di): 2 for i, di in degs.items() if di > 1})
+        f = MultiDirichletPoly(terms, ("s", "t"))
+        if degs[m] == degs[n] or not f.is_algebraically_primitive():
+            continue
+        rep = stepanov_schmidt_test(f, "s", "t")
+        ref = _first_point_not_below_chord(degs)
+        if ref is None:
+            assert "chord comparison" not in rep.detail and "not strictly below" not in rep.detail
+            seen[None] += len(degs) > 2
+        elif ref[1] == UNDECIDABLE:
+            assert rep.verdict == report.UNDECIDABLE
+            assert rep.detail == f"chord comparison at index {ref[0]} hit the precision cap"
+        else:
+            assert rep.verdict == report.INCONCLUSIVE
+            assert rep.detail == \
+                f"coefficient degree at index {ref[0]} not strictly below the chord"
+        if ref is not None:
+            seen[ref[1]] += 1
+    assert seen[ZERO] > 50 and seen[POSITIVE] > 50 and seen[None] > 30
+    assert (seen[UNDECIDABLE] > 50) == (bits is not None)
+
+
 def test_equal_end_degrees_inconclusive():
     f = MultiDirichletPoly({(1, 2): 1, (16, 2): 1}, ("s", "t"))
     rep = stepanov_schmidt_test(f, "s", "t")
