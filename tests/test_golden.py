@@ -5,7 +5,8 @@ benchmark's CLI examples and every early stop of the report loop,
 that exercise the certified log comparator, `dpirred polygon --format
 json` on sloped edges with several segments, and `dpirred prime-value`,
 `dpirred schonemann` and `dpirred oracle --format json` on one case of each
-route, compared byte for byte with committed snapshots.  The benchmark
+route, and one `--format text` argv per subcommand plus `polygon --format
+ascii`, compared byte for byte with committed snapshots.  The benchmark
 corpus (univariate-zq, univariate-fp, bivariate and oracle at seeds 1-2) is
 pinned by digest: one of the input texts, and one per input of its reports
 or oracle result.
@@ -14,7 +15,8 @@ Regenerate every snapshot after an intended output change with
     PYTHONPATH=src python tests/test_golden.py
 and review the diff of tests/golden/analyze.json, tests/golden/rank.json,
 tests/golden/comparator.json, tests/golden/polygon.json,
-tests/golden/subcommands.json and tests/golden/corpus.json.
+tests/golden/subcommands.json, tests/golden/text.json and
+tests/golden/corpus.json.
 """
 
 import contextlib
@@ -31,6 +33,7 @@ RANK_SNAPSHOT = Path(__file__).with_name("golden") / "rank.json"
 COMPARATOR_SNAPSHOT = Path(__file__).with_name("golden") / "comparator.json"
 POLYGON_SNAPSHOT = Path(__file__).with_name("golden") / "polygon.json"
 SUBCOMMAND_SNAPSHOT = Path(__file__).with_name("golden") / "subcommands.json"
+TEXT_SNAPSHOT = Path(__file__).with_name("golden") / "text.json"
 CORPUS_SNAPSHOT = Path(__file__).with_name("golden") / "corpus.json"
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -164,6 +167,23 @@ SUBCOMMAND_CASES = [
     ["oracle", "segment", "--x1", "4", "--y1", "2", "--x2", "9", "--y2", "0"],
 ]
 
+# whole argvs in the text and ASCII formats, one per subcommand: nested
+# reports and attached polygons, the ASCII plot, and each kind of object the
+# other subcommands print
+TEXT_CASES = [
+    ["analyze", FIG1, "--all", "-p", "2", "--format", "text"],
+    ["polygon", FIG1, "-p", "2", "--format", "text"],
+    ["polygon", FIG1, "-p", "2", "--format", "ascii"],
+    ["upper-polygon", ST_INPUTS[0], "--outer", "s", "--inner", "t", "--format", "text"],
+    ["polytope", ST_INPUTS[1], "--format", "text"],
+    ["rank", "1 + 1/2^s - 1/3^s - 1/6^s", "--matrix", "R", "--g", "1 - 2/3^s",
+     "--format", "text"],
+    ["prime-value", "1 + 1/4^s", "--scan-t", "1..16", "--format", "text"],
+    ["schonemann", "--variant", "pq", "--F", "1 + 1/5^s", "--G", "2 + 1/5^s",
+     "--n", "2", "--p", "2", "--q", "3", "--format", "text"],
+    ["oracle", "factor", "2 + 3/2^s + 1/4^s + 5/6^s", "--format", "text"],
+]
+
 
 def run(args, command="analyze"):
     out = io.StringIO()
@@ -172,10 +192,10 @@ def run(args, command="analyze"):
     return {"args": args, "exit": code, "stdout": out.getvalue()}
 
 
-def run_argv(argv):
+def run_argv(argv, fmt=("--format", "json")):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main([*argv, "--format", "json"])
+        code = main([*argv, *fmt])
     return {"argv": argv, "exit": code, "stdout": out.getvalue()}
 
 
@@ -219,6 +239,11 @@ def test_polygon_json_matches_snapshot():
 def test_subcommand_json_matches_snapshot():
     expected = json.loads(SUBCOMMAND_SNAPSHOT.read_text())
     assert [run_argv(argv) for argv in SUBCOMMAND_CASES] == expected
+
+
+def test_text_output_matches_snapshot():
+    expected = json.loads(TEXT_SNAPSHOT.read_text())
+    assert [run_argv(argv, ()) for argv in TEXT_CASES] == expected
 
 
 CORPUS_WORKLOADS = ("univariate-zq", "univariate-fp", "bivariate", "oracle")
@@ -280,6 +305,8 @@ if __name__ == "__main__":
         json.dumps([run(args, "polygon") for args in POLYGON_CASES], indent=1) + "\n")
     SUBCOMMAND_SNAPSHOT.write_text(
         json.dumps([run_argv(argv) for argv in SUBCOMMAND_CASES], indent=1) + "\n")
+    TEXT_SNAPSHOT.write_text(
+        json.dumps([run_argv(argv, ()) for argv in TEXT_CASES], indent=1) + "\n")
     corpus = corpus_run()
     CORPUS_SNAPSHOT.write_text(json.dumps(
         {"inputs": corpus["inputs"], "digests": corpus["digests"]}, indent=1) + "\n")
