@@ -126,19 +126,24 @@ def _int_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _verdict_exit(verdict: str) -> int:
-    if verdict in report.DEFINITIVE:
-        return EXIT_DEFINITIVE
-    if verdict == report.UNDECIDABLE:
-        return EXIT_UNDECIDABLE
-    return EXIT_INCONCLUSIVE
-
-
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns the object to print and its verdict, None when
+# the command has no verdict to report; main prints and sets the exit code
 
 
-def cmd_analyze(args) -> int:
+def _edges(poly) -> list[dict]:
+    return [{"from": [e.i1, e.y1], "to": [e.i2, e.y2], "segments": e.delta,
+             "points": [list(p) for p in e.points]} for e in poly.edges]
+
+
+def _multivariate_input(args) -> MultiDirichletPoly:
+    f = _load_input(args.input)
+    if not isinstance(f, MultiDirichletPoly):
+        raise ValueError(f"{args.cmd} needs a multivariate JSON input")
+    return f
+
+
+def cmd_analyze(args):
     from .analyze import analyze_multivariate, analyze_univariate
 
     f = _load_input(args.input)
@@ -168,36 +173,25 @@ def cmd_analyze(args) -> int:
                 "vertices": [list(v) for v in poly.vertices],
                 "edge_points": [[list(q) for q in e.points] for e in poly.edges],
             }
-    _emit(out, args.format)
-    return _verdict_exit(res.verdict)
+    return out, res.verdict
 
 
-def cmd_polygon(args) -> int:
+def cmd_polygon(args):
     from .polygon import build_polygon
 
-    f = _load_input(args.input)
-    poly = build_polygon(f, args.prime)
-    obj = {
+    poly = build_polygon(_load_input(args.input), args.prime)
+    if args.format == "ascii":
+        return _ascii_polygon(poly), None
+    edges = _edges(poly)
+    for obj, e in zip(edges, poly.edges):
+        obj["segment_relative_degrees"] = [str(r) for r in e.segment_ratios]
+    return {
         "prime": poly.prime,
         "shift": poly.shift,
         "vertices": [list(v) for v in poly.vertices],
-        "edges": [
-            {
-                "from": [e.i1, e.y1],
-                "to": [e.i2, e.y2],
-                "segments": e.delta,
-                "points": [list(p) for p in e.points],
-                "segment_relative_degrees": [str(r) for r in e.segment_ratios],
-            }
-            for e in poly.edges
-        ],
+        "edges": edges,
         "total_segment_bound": poly.total_segments(),
-    }
-    if args.format == "ascii":
-        print(_ascii_polygon(poly))
-    else:
-        _emit(obj, args.format)
-    return EXIT_DEFINITIVE
+    }, None
 
 
 def _ascii_polygon(poly) -> str:
@@ -234,60 +228,48 @@ def _ascii_polygon(poly) -> str:
     return "\n".join(lines)
 
 
-def cmd_upper_polygon(args) -> int:
+def cmd_upper_polygon(args):
     from .polygon import HullUndecidable
     from .upperpoly import build_upper_polygon, stepanov_schmidt_test
 
-    f = _load_input(args.input)
-    if not isinstance(f, MultiDirichletPoly):
-        raise ValueError("upper-polygon needs a multivariate JSON input")
+    f = _multivariate_input(args)
     try:
         poly = build_upper_polygon(f, args.outer, args.inner)
     except HullUndecidable as e:
-        _emit({"status": "undecidable", "partial_vertices": [list(v) for v in e.partial]},
-              args.format)
-        return EXIT_UNDECIDABLE
+        return ({"status": "undecidable", "partial_vertices": [list(v) for v in e.partial]},
+                report.UNDECIDABLE)
     rep = stepanov_schmidt_test(f, args.outer, args.inner)
-    obj = {
+    return {
         "outer": args.outer,
         "inner": args.inner,
         "vertices": [list(v) for v in poly.vertices],
-        "edges": [
-            {"from": [e.i1, e.y1], "to": [e.i2, e.y2], "segments": e.delta,
-             "points": [list(p) for p in e.points]}
-            for e in poly.edges
-        ],
+        "edges": _edges(poly),
         "criterion": _report_obj(rep),
-    }
-    _emit(obj, args.format)
-    return _verdict_exit(rep.verdict)
+    }, rep.verdict
 
 
-def cmd_polytope(args) -> int:
+def cmd_polytope(args):
     from .polytope import LogPolytope, polytope_irreducibility
 
-    f = _load_input(args.input)
-    if not isinstance(f, MultiDirichletPoly):
-        raise ValueError("polytope needs a multivariate JSON input")
+    f = _multivariate_input(args)
     pt = LogPolytope.of(f)
     rep = polytope_irreducibility(f).gated(args.assume_log_independence)
-    obj = {
+    return {
         "support": [list(v) for v in pt.support],
         "vertices": [list(v) for v in pt.vertices],
         "vertex_assumptions": list(pt.assumptions),
         "criterion": _report_obj(rep),
-    }
-    _emit(obj, args.format)
-    return _verdict_exit(rep.verdict)
+    }, rep.verdict
 
 
-def cmd_rank(args) -> int:
+def cmd_rank(args):
     from .ranktests import (
         build_a_matrix,
         build_b_matrix,
         build_r_matrix,
         build_d_matrix,
         common_factor_test,
+        derivative_rank_test,
         k_power_free_charp,
     )
 
@@ -295,48 +277,25 @@ def cmd_rank(args) -> int:
     if args.matrix in ("A", "B"):
         mat = (build_a_matrix if args.matrix == "A" else build_b_matrix)(f, args.p, args.k)
         rep = k_power_free_charp(f, args.k)
-        obj = {
-            "matrix": args.matrix,
-            "rows": mat.rows,
-            "cols": mat.cols,
-            "rank": mat.rank(),
-            "entries": [[i, j, int(v)] for i, j, v in mat.to_triplets()],
-            "criterion": _report_obj(rep),
-        }
-        _emit(obj, args.format)
-        return _verdict_exit(rep.verdict)
-    if args.matrix == "R":
+        obj = {"rows": mat.rows, "cols": mat.cols, "rank": mat.rank(),
+               "entries": [[i, j, int(v)] for i, j, v in mat.to_triplets()]}
+    elif args.matrix == "R":
         _require(args, "--g")
         g = _load_input(args.g)
         mat = build_r_matrix(f, g, args.d)
         rep = common_factor_test(f, g, args.d)
-        obj = {
-            "matrix": "R",
-            "rows": mat.rows,
-            "cols": mat.cols,
-            "entries": [[i, j, str(v)] for i, j, v in mat.to_triplets()],
-            "criterion": _report_obj(rep),
-        }
-        _emit(obj, args.format)
-        return _verdict_exit(rep.verdict)
-    from .ranktests import derivative_rank_test
-
-    rep = derivative_rank_test(f, args.k, args.d).gated(args.assume_log_independence)
-    rows = build_d_matrix(f, args.k, args.d)
-    obj = {
-        "matrix": "D",
-        "rows": len(rows),
-        "cols": 2 * f.degree // args.d,
-        "entries": [
-            [i, j, repr(v)] for i, row in enumerate(rows) for j, v in sorted(row.items())
-        ],
-        "criterion": _report_obj(rep),
-    }
-    _emit(obj, args.format)
-    return _verdict_exit(rep.verdict)
+        obj = {"rows": mat.rows, "cols": mat.cols,
+               "entries": [[i, j, str(v)] for i, j, v in mat.to_triplets()]}
+    else:
+        rep = derivative_rank_test(f, args.k, args.d).gated(args.assume_log_independence)
+        rows = build_d_matrix(f, args.k, args.d)
+        obj = {"rows": len(rows), "cols": 2 * f.degree // args.d,
+               "entries": [[i, j, repr(v)] for i, row in enumerate(rows)
+                           for j, v in sorted(row.items())]}
+    return {"matrix": args.matrix, **obj, "criterion": _report_obj(rep)}, rep.verdict
 
 
-def cmd_prime_value(args) -> int:
+def cmd_prime_value(args):
     from .primevalue import prime_value_test, scan_t
 
     f = _load_input(args.input)
@@ -344,19 +303,16 @@ def cmd_prime_value(args) -> int:
         lo, hi = args.scan_t
         hit = scan_t(f, lo, hi)
         if hit is None:
-            _emit({"verdict": report.INCONCLUSIVE,
-                   "detail": f"no witness found for t in {lo}..{hi}"}, args.format)
-            return EXIT_INCONCLUSIVE
+            return ({"verdict": report.INCONCLUSIVE,
+                     "detail": f"no witness found for t in {lo}..{hi}"}, report.INCONCLUSIVE)
         t, rep = hit
-        _emit({"t": t, "criterion": _report_obj(rep)}, args.format)
-        return _verdict_exit(rep.verdict)
+        return {"t": t, "criterion": _report_obj(rep)}, rep.verdict
     _require(args, "--t", "--P")
     rep = prime_value_test(f, args.t, args.P, args.ell, args.q)
-    _emit(_report_obj(rep), args.format)
-    return _verdict_exit(rep.verdict)
+    return _report_obj(rep), rep.verdict
 
 
-def cmd_schonemann(args) -> int:
+def cmd_schonemann(args):
     from .schonemann import prime_power_value_test, pq_schonemann_test, schonemann_test
 
     F = _load_input(args.F)
@@ -368,33 +324,32 @@ def cmd_schonemann(args) -> int:
         rep = pq_schonemann_test(F, G, args.n, args.p, args.q)
     else:
         rep = prime_power_value_test([F], [args.n], args.m, G, args.p, args.a)
-    _emit(_report_obj(rep), args.format)
-    return _verdict_exit(rep.verdict)
+    return _report_obj(rep), rep.verdict
 
 
-def cmd_oracle(args) -> int:
-    from .oracle import (NODE_CAP_CLI, brute_force_factor, enumerate_segment_points_brute,
-                         gcd_bounded)
+def cmd_oracle(args):
+    from .oracle import (NODE_CAP_CLI, NONE_WITHIN_BOUND, OracleBudgetExhausted,
+                         brute_force_factor, enumerate_segment_points_brute, gcd_bounded)
 
     if args.action == "factor":
         _require(args, "input")
-        f = _load_input(args.input)
-        res = brute_force_factor(f, node_cap=NODE_CAP_CLI)
+        res = brute_force_factor(_load_input(args.input), node_cap=NODE_CAP_CLI)
         obj = {"status": res.status, "bound": res.bound, "nodes": res.nodes}
         if res.factors:
             obj["factors"] = [res.factors[0].text(), res.factors[1].text()]
-        _emit(obj, args.format)
-        return EXIT_DEFINITIVE if res.status != "none-within-bound" else EXIT_INCONCLUSIVE
+        return obj, report.INCONCLUSIVE if res.status == NONE_WITHIN_BOUND else None
     if args.action == "gcd":
         _require(args, "input", "--g")
         f = _load_input(args.input)
         g = _load_input(args.g)
-        _emit({"gcd": gcd_bounded(f, g).text()}, args.format)
-        return EXIT_DEFINITIVE
+        try:
+            return {"gcd": gcd_bounded(f, g).text()}, None
+        except OracleBudgetExhausted:
+            return ({"status": NONE_WITHIN_BOUND, "node_budget": NODE_CAP_CLI},
+                    report.INCONCLUSIVE)
     _require(args, "--x1", "--y1", "--x2", "--y2")
     pts = enumerate_segment_points_brute(args.x1, args.y1, args.x2, args.y2)
-    _emit({"interior_points": [list(p) for p in pts]}, args.format)
-    return EXIT_DEFINITIVE
+    return {"interior_points": [list(p) for p in pts]}, None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -496,11 +451,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.fn(args)
+        obj, verdict = args.fn(args)
+        _emit(obj, args.format)
     except (ValueError, UnfactoredResidueError, json.JSONDecodeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
-
+    if verdict is None or verdict in report.DEFINITIVE:
+        return EXIT_DEFINITIVE
+    return EXIT_UNDECIDABLE if verdict == report.UNDECIDABLE else EXIT_INCONCLUSIVE
 
 if __name__ == "__main__":
     sys.exit(main())

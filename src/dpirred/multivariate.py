@@ -18,6 +18,8 @@ class MultiDirichletPoly(SparsePoly):
 
     def __init__(self, terms, variables, ring: Ring = ZZ):
         variables = tuple(variables)
+        if len(set(variables)) != len(variables):
+            raise ValueError(f"variable names must be distinct, got {variables}")
         t = {}
         items = terms.items() if isinstance(terms, dict) else terms
         for idx, c in items:

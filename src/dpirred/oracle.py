@@ -16,7 +16,8 @@ pseudo-remainder gcds, with no fractions.
 Over F_p the candidate factors are enumerated outright, which is a complete
 decision unless the node cap stops it first.  Both searches stop past
 `node_cap` nodes and then report NONE_WITHIN_BOUND; the library default
-never binds in practice, while the CLI passes the smaller NODE_CAP_CLI.
+never binds in practice, while the CLI and factor_completely use the
+smaller NODE_CAP_CLI.
 """
 
 from __future__ import annotations
@@ -35,11 +36,16 @@ IRREDUCIBLE_CERTIFIED = "irreducible-certified"
 NONE_WITHIN_BOUND = "none-within-bound"
 
 NODE_CAP_DEFAULT = 10**8
-# node budget of the CLI oracle (`oracle factor` and `analyze --oracle`):
-# it binds within a few seconds, where the default cap never binds in time
+# node budget of the CLI oracle (`oracle factor`, `oracle gcd` and
+# `analyze --oracle`) and of each search in factor_completely: it binds
+# within a few seconds, where the default cap never binds in time
 NODE_CAP_CLI = 100_000
 # (x2 - x1) * max(1, |y2 - y1|) cells at most in one brute-force segment box
 SEGMENT_BOX_CAP = 10**5
+
+
+class OracleBudgetExhausted(RuntimeError):
+    """A full factorization needed more than NODE_CAP_CLI nodes for one factor."""
 
 
 @dataclass
@@ -458,10 +464,10 @@ def factor_completely(f: DirichletPoly) -> list[DirichletPoly]:
         return []
     if f.ring.kind == "Q":
         f = f.z_primitive_part()
-    res = brute_force_factor(f)
+    res = brute_force_factor(f, node_cap=NODE_CAP_CLI)
     if res.status != FACTORED:
         if res.status == NONE_WITHIN_BOUND:
-            raise RuntimeError("oracle budget exhausted during full factorization")
+            raise OracleBudgetExhausted("oracle budget exhausted during full factorization")
         return [f.normalize()[1]]
     g, h = res.factors
     return sorted(

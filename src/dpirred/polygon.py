@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from math import gcd, lcm
+from math import gcd
 
 from .core import DirichletPoly, exponents, gcd_list, is_prime, log_gcd, log_points, valuation
 from .degrees import relative_degree_sets
@@ -56,14 +56,6 @@ class Edge:
     delta: int                      # number of segments on this edge
     points: tuple[tuple[int, int], ...]  # all log-integral points, endpoints included
     segment_ratios: tuple[Fraction, ...]  # relative degree of each segment
-
-    @property
-    def rise(self) -> int:
-        return self.y2 - self.y1
-
-    @property
-    def width_ratio(self) -> Fraction:
-        return Fraction(self.i2, self.i1)
 
     def interior_points(self):
         return self.points[1:-1]
@@ -184,7 +176,7 @@ def build_polygon(f: DirichletPoly, p: int) -> LogPolygon:
 
 def vector_system(poly: LogPolygon) -> list[tuple[Fraction, int]]:
     """Edge vectors as (width ratio > 1, integer rise), left to right."""
-    return [(e.width_ratio, e.rise) for e in poly.edges]
+    return [(Fraction(e.i2, e.i1), e.y2 - e.y1) for e in poly.edges]
 
 
 def _slope_key_cmp(v1: tuple[Fraction, int], v2: tuple[Fraction, int]) -> int:
@@ -196,9 +188,19 @@ def _slope_key_cmp(v1: tuple[Fraction, int], v2: tuple[Fraction, int]) -> int:
 
 def _chord_cmp(a, b, c) -> int:
     """Sign of slope(a->b) - slope(a->c) for points (index, y); the index
-    of a is below those of b and c, or equal with equal y."""
-    return _slope_key_cmp((Fraction(b[0], a[0]), b[1] - a[1]),
-                          (Fraction(c[0], a[0]), c[1] - a[1]))
+    of a is below those of b and c, or equal with equal y.
+
+    With d1, d2 the rises from a to b and c, that is the sign of
+    (c/a)^d1 - (b/a)^d2, so of c^d1 * a^(d2 - d1) - b^d2: each negative
+    power moves to the other side, and only integers are compared."""
+    d1, d2 = b[1] - a[1], c[1] - a[1]
+    lhs = rhs = 1
+    for x, e in ((c[0], d1), (a[0], d2 - d1), (b[0], -d2)):
+        if e >= 0:
+            lhs *= x**e
+        else:
+            rhs *= x**-e
+    return (lhs > rhs) - (lhs < rhs)
 
 
 def merge_vector_systems(a, b) -> list[tuple[Fraction, int]]:
@@ -220,6 +222,16 @@ def merge_vector_systems(a, b) -> list[tuple[Fraction, int]]:
 # Dumas-style tests
 
 
+def _z_input(f: DirichletPoly) -> DirichletPoly:
+    """The input of a nu_p criterion: f nonconstant and algebraically
+    primitive, a Q input replaced by its integer primitive part."""
+    if f.is_zero() or f.is_constant():
+        raise ValueError("needs a nonconstant polynomial")
+    if not f.is_algebraically_primitive():
+        raise ValueError("input must be algebraically primitive")
+    return f.z_primitive_part() if f.ring.kind == "Q" else f
+
+
 def dumas_test(f: DirichletPoly, p: int, shift_t: int = 0) -> CriterionReport:
     """Single-edge single-segment criterion at the prime p, on the
     coefficients a_i * i^shift_t.
@@ -229,12 +241,7 @@ def dumas_test(f: DirichletPoly, p: int, shift_t: int = 0) -> CriterionReport:
     count of the chord is 1.  The classical two-sided Eisenstein patterns
     are the simplest instances and are named in the certificate.
     """
-    if f.is_zero() or f.is_constant():
-        raise ValueError("needs a nonconstant polynomial")
-    if not f.is_algebraically_primitive():
-        raise ValueError("input must be algebraically primitive")
-    if f.ring.kind == "Q":
-        f = f.z_primitive_part()
+    f = _z_input(f)
     m, n = f.deg_min, f.degree
     tw = {i: valuation(c, p) + shift_t * exponents(i).get(p, 0) for i, c in f.items()}
     vm, vn = tw[m], tw[n]
@@ -348,26 +355,21 @@ def multi_prime_test(f: DirichletPoly, primes: list[int]) -> CriterionReport:
     """Combine polygons at several primes.
 
     Fires when (a) the per-prime candidate relative-degree sets have empty
-    intersection, (b) the lcm of the per-prime gcds of segment-ratio
-    numerators equals deg f, or (c) for coprime endpoint degrees every
-    polygon is a single edge and their segment counts are coprime.
+    intersection, or (b) for coprime endpoint degrees every polygon is a
+    single edge and their segment counts are coprime.  No rule reads the
+    segment-ratio numerators: when the lcm over p of their gcds is deg f,
+    some polygon is one segment, so its candidate set is empty and
+    dumas_test (or, for n = m + 1, the quick battery) fires at that p.
     """
-    if f.is_zero() or f.is_constant():
-        raise ValueError("needs a nonconstant polynomial")
-    if not f.is_algebraically_primitive():
-        raise ValueError("input must be algebraically primitive")
-    if f.ring.kind == "Q":
-        f = f.z_primitive_part()
+    f = _z_input(f)
     if not primes:
         raise ValueError("need at least one prime")
     m, n = f.deg_min, f.degree
 
     inter = None
-    profiles = {}
     any_capped = False
     for p in primes:
-        cands, profile, capped = candidate_relative_degrees(f, p)
-        profiles[p] = profile
+        cands, _, capped = candidate_relative_degrees(f, p)
         any_capped = any_capped or capped
         inter = cands if inter is None else (inter & cands)
         if not inter:
@@ -377,17 +379,6 @@ def multi_prime_test(f: DirichletPoly, primes: list[int]) -> CriterionReport:
                 f"{{{', '.join(str(q) for q in primes[:primes.index(p) + 1])}}}",
                 primes=tuple(primes), empty_at=p,
             )
-
-    dvals = []
-    for p in primes:
-        nums = [r.numerator for r in profiles[p]]
-        dvals.append(gcd_list(nums))
-    if dvals and lcm(*dvals) == n:
-        return irreducible(
-            "segment-numerator-lcm",
-            f"lcm of per-prime segment-numerator gcds is deg f = {n}",
-            primes=tuple(primes), gcds=tuple(dvals),
-        )
 
     if gcd(m, n) == 1:
         polys = [build_polygon(f, p) for p in primes]
@@ -480,12 +471,7 @@ def slope_exclusions(f: DirichletPoly, p: int):
     non-divisible pivot index and the relevant endpoint) tolerate coefficient
     multipliers coprime to p, which the certificate records.
     """
-    if f.is_zero() or f.is_constant():
-        raise ValueError("needs a nonconstant polynomial")
-    if not f.is_algebraically_primitive():
-        raise ValueError("input must be algebraically primitive")
-    if f.ring.kind == "Q":
-        f = f.z_primitive_part()
+    f = _z_input(f)
     m, n = f.deg_min, f.degree
     sets = relative_degree_sets(m, n)
     nm = Fraction(n, m)

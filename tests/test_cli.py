@@ -150,6 +150,21 @@ def test_analyze_oracle_report_names_node_budget(capsys):
     assert rep["certificate"]["node_budget"] == NODE_CAP_CLI
 
 
+def test_oracle_gcd_node_budget_binds():
+    # the smaller-degree operand is the slow input above, which gcd_bounded
+    # factors completely: run it in a child that a timeout stops
+    from dpirred.oracle import NODE_CAP_CLI
+
+    argv = ["oracle", "gcd", SLOW_ORACLE_INPUTS[1],
+            "--g", "1 + 1/2^s + 1/3^s + 1/5^s + 1/7^s + 1/11^s + 1/13^s + 1/64^s",
+            "--format", "json"]
+    proc = subprocess.run([sys.executable, "-m", "dpirred.cli", *argv],
+                          capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 2
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout) == {"status": "none-within-bound", "node_budget": NODE_CAP_CLI}
+
+
 def test_rank_subcommand(capsys):
     code, out = run_cli(
         capsys, "rank", '{"ring":"Fp","p":2,"terms":[[1,1],[4,1]]}',
@@ -245,6 +260,9 @@ BAD_ARGUMENT = [
     ["prime-value", "1 + 1/2^s", "--scan-t", "9..1"],
     ["upper-polygon", "1 + 1/2^s", "--outer", "s", "--inner", "t"],
     ["polytope", "1 + 1/2^s"],
+    # a repeated variable name would print (2, 1) and (1, 2) both as 1/(2^s)
+    ["analyze", '{"vars":["s","s"],"terms":[{"indices":[2,1],"coeff":1},'
+                '{"indices":[1,2],"coeff":-1}]}'],
     # an option the subcommand does not read: the log-independence flag
     # outside the three that gate conditional verdicts, ASCII output outside polygon
     *([*argv, "--assume-log-independence"] for argv in VALID_ARGV if argv[0] not in GATED),

@@ -73,6 +73,9 @@ def test_validation():
         MultiDirichletPoly({(0, 1): 1}, ("s", "t"))
     with pytest.raises(ValueError):
         MultiDirichletPoly({(1,): 1}, ("s", "t"))
+    # a repeated name would print (2, 1) and (1, 2) both as 1/(2^s)
+    with pytest.raises(ValueError, match="variable names must be distinct"):
+        MultiDirichletPoly({(2, 1): 1, (1, 2): -1}, ("s", "s"))
     a = MultiDirichletPoly({(2, 1): 1}, ("s", "t"))
     b = MultiDirichletPoly({(2,): 1}, ("s",))
     c = MultiDirichletPoly({(2, 1): 1}, ("u", "v"))

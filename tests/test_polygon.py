@@ -1,13 +1,14 @@
 import random
 import time
+from collections import Counter
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
 from dpirred.core import DirichletPoly, exponents, log_gcd, log_points, valuation
-from dpirred.analyze import analyze_univariate
-from dpirred.degrees import relative_degree_sets
+from dpirred.analyze import analyze_univariate, coefficient_primes
+from dpirred.degrees import quick_irreducibility, relative_degree_sets
 from dpirred.oracle import brute_force_factor, FACTORED, IRREDUCIBLE_CERTIFIED
 from dpirred import polygon
 from dpirred.polygon import (
@@ -170,6 +171,37 @@ def test_dumas_chord_decision_matches_power_comparison():
     assert ties > 100 and passed > 100
 
 
+def _chord_cmp_fraction(a, b, c):
+    """The Fraction form of the chord predicate: the sign of
+    (c/a)^(y_b - y_a) - (b/a)^(y_c - y_a)."""
+    lhs = Fraction(c[0], a[0]) ** (b[1] - a[1])
+    rhs = Fraction(b[0], a[0]) ** (c[1] - a[1])
+    return (lhs > rhs) - (lhs < rhs)
+
+
+def test_chord_predicate_matches_fraction_form():
+    rng = random.Random(47)
+    signs = Counter()
+    while sum(signs.values()) < 100_000:
+        i, y = rng.randint(1, 60), rng.randint(0, 6)
+        if rng.random() < 0.3:
+            # b and c on one log line through a: ratios r^j, r^k, rises j*s, k*s
+            r, s = rng.choice((2, 3, 5, Fraction(3, 2))), rng.randint(-3, 3)
+            j, k = rng.randint(0, 3), rng.randint(0, 3)
+            b, c = ((int(i * r**e), y + e * s) for e in (j, k))
+            if (i * r**j).denominator != 1 or (i * r**k).denominator != 1:
+                continue
+        else:
+            b, c = ((rng.randint(i, 200), rng.randint(-3, 9)) for _ in range(2))
+        if i in (b[0], c[0]) and y not in (b[1], c[1]):
+            continue
+        a = (i, y)
+        sign = polygon._chord_cmp(a, b, c)
+        assert sign == _chord_cmp_fraction(a, b, c), (a, b, c)
+        signs[sign] += 1
+    assert min(signs.values()) > 20_000, signs
+
+
 def test_candidate_degrees_two_segment_profile():
     cands, profile, capped = candidate_relative_degrees(FIG1, 2)
     assert not capped
@@ -300,6 +332,33 @@ def test_multi_prime_single_edge_coprime():
     f = DirichletPoly({2: 3, 5: 7})
     rep = multi_prime_test(f, [3])
     assert rep.verdict == report.IRREDUCIBLE
+
+
+def test_segment_numerator_lcm_is_subsumed():
+    # when the lcm over the coefficient primes p of the gcd d_p of the
+    # segment-ratio numerators is n = deg f, some q^e || n divides every
+    # ratio of one polygon, whose ratios multiply to n/m: that polygon is a
+    # single segment, with no candidate, and the quick battery or the Dumas
+    # chord at its prime decides f
+    rng = random.Random(53)
+    held = 0
+    for _ in range(5000):
+        f = DirichletPoly({rng.randint(1, 60): rng.choice((-12, -6, -4, -3, -2, -1, 1, 2, 3,
+                                                            4, 5, 6, 8, 9, 10, 12))
+                           for _ in range(rng.randint(2, 6))})
+        if f.is_constant() or not f.is_algebraically_primitive():
+            continue
+        polys = {p: build_polygon(f, p) for p in coefficient_primes(f)}
+        d = [gcd(*(r.numerator for r in pl.segment_profile())) for pl in polys.values()]
+        if not d or lcm(*d) != f.degree:
+            continue
+        held += 1
+        single = [p for p, pl in polys.items() if pl.total_segments() == 1]
+        assert single, f.text()
+        assert all(candidate_relative_degrees(f, p)[0] == set() for p in single), f.text()
+        assert quick_irreducibility(f).verdict == report.IRREDUCIBLE or any(
+            dumas_test(f, p).verdict == report.IRREDUCIBLE for p in single), f.text()
+    assert held > 1000
 
 
 def test_lone_slope_positive_variant():
