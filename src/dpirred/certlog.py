@@ -9,8 +9,10 @@ numerically.
 
 Log expressions live in one prime-basis form, LogProduct: a polynomial over
 Q in the symbols L_p = ln p, one per prime, into which ln(a) expands as
-sum v_p(a) L_p.  Products of logs (the hull and chord comparisons) and the
-log^k entries of the derivative matrices in ranktests are both built in it.
+sum v_p(a) L_p.  The 2x2 log determinants ln a ln b - ln c ln d of integer
+ratios (the hull, chord and slope tests) are expanded by log_det_sign from
+the int exponent vectors of core.exponents into int coefficients; the log^k
+entries of the derivative matrices in ranktests are built over Q.
 A form whose expansion cancels is Zero, which is an identity and so exact;
 any other form gets its sign certified by intervals on ln p for its primes,
 or Undecidable at the precision cap, never a wrong sign.
@@ -172,12 +174,14 @@ def ln_bounds(q: Fraction, prec: int) -> IV:
 # multiplicative structure of rationals
 
 
-def _signed_exponents(q: Fraction) -> list[tuple[int, int]]:
-    """(p, v_p(q)) for every prime of a positive Fraction: numerator and
-    denominator are coprime, so no exponent cancels and none is zero."""
-    out = list(exponents(q.numerator).items())
-    out.extend((p, -e) for p, e in exponents(q.denominator).items())
-    return out
+def _ratio_exponents(r: tuple[int, int]) -> list[tuple[int, int]]:
+    """(p, v_p(num/den)) for r = (num, den) positive ints, zeros dropped: the
+    int exponent vectors of num and den subtracted (primes of num first)."""
+    num, den = r
+    v = dict(exponents(num))
+    for p, e in exponents(den).items():
+        v[p] = v.get(p, 0) - e
+    return [(p, e) for p, e in v.items() if e]
 
 
 def exponent_vector(q: Fraction) -> dict[int, int]:
@@ -185,7 +189,7 @@ def exponent_vector(q: Fraction) -> dict[int, int]:
     q = Fraction(q)
     if q <= 0:
         raise ValueError("needs a positive rational")
-    return dict(_signed_exponents(q))
+    return dict(_ratio_exponents(q.as_integer_ratio()))
 
 
 def multiplicative_dependence_ratio(a: Fraction, b: Fraction) -> Fraction | None:
@@ -197,12 +201,9 @@ def multiplicative_dependence_ratio(a: Fraction, b: Fraction) -> Fraction | None
         return Fraction(0)
     if set(va) != set(vb):
         return None
-    items = sorted(va.items())
-    r = Fraction(vb[items[0][0]], items[0][1])
-    for p, e in items:
-        if Fraction(vb[p], e) != r:
-            return None
-    return r
+    p, e = next(iter(va.items()))
+    r = Fraction(vb[p], e)
+    return r if all(Fraction(vb[q], f) == r for q, f in va.items()) else None
 
 
 # ---------------------------------------------------------------------------
@@ -239,12 +240,13 @@ class LogProduct:
 
     def add_product(self, a, b, coeff=1) -> "LogProduct":
         """Add coeff * ln(a) * ln(b) in place (a, b positive rationals)."""
-        a, b, coeff = Fraction(a), Fraction(b), Fraction(coeff)
-        if a <= 0 or b <= 0:
-            raise ValueError("log arguments must be positive")
+        return self._add(exponent_vector(a).items(), exponent_vector(b).items(), Fraction(coeff))
+
+    def _add(self, va, vb, coeff) -> "LogProduct":
+        """Add coeff * (sum va_p L_p) * (sum vb_q L_q) in place; the new
+        coefficients have coeff's type, so int in gives int out."""
         t = dict(self.terms)
-        vb = _signed_exponents(b)
-        for p, e in _signed_exponents(a):
+        for p, e in va:
             for q, f in vb:
                 m = (p, q) if p <= q else (q, p)
                 c = coeff * (e * f)
@@ -344,9 +346,16 @@ class LogProduct:
         return " + ".join(bits)
 
 
+def log_det_sign(a, b, c, d) -> str:
+    """Certified sign of ln(a) ln(b) - ln(c) ln(d) for ratios (num, den) of
+    positive ints: the int expansion over the L_p L_q monomials, signed by
+    LogProduct.compare (zero only when it cancels)."""
+    a, b, c, d = map(_ratio_exponents, (a, b, c, d))
+    return LogProduct()._add(a, b, 1)._add(c, d, -1).compare()
+
+
 def log_orientation(p1, p2, p3) -> str:
     """Sign of the turn (log p1) -> (log p2) -> (log p3) for points (x, y)
     of positive integers: zero means collinear with an exact witness."""
     (x1, y1), (x2, y2), (x3, y3) = p1, p2, p3
-    lp = LogProduct().add_product(Fraction(x2, x1), Fraction(y3, y1))
-    return lp.add_product(Fraction(x3, x1), Fraction(y2, y1), -1).compare()
+    return log_det_sign((x2, x1), (y3, y1), (x3, x1), (y2, y1))

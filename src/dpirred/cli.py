@@ -136,10 +136,11 @@ def _edges(poly) -> list[dict]:
              "points": [list(p) for p in e.points]} for e in poly.edges]
 
 
-def _multivariate_input(args) -> MultiDirichletPoly:
-    f = _load_input(args.input)
-    if not isinstance(f, MultiDirichletPoly):
-        raise ValueError(f"{args.cmd} needs a multivariate JSON input")
+def _input_of(args, cls, name: str = "input"):
+    f = _load_input(getattr(args, name))
+    if not isinstance(f, cls):
+        kind = "multivariate JSON" if cls is MultiDirichletPoly else "univariate"
+        raise ValueError(f"{args.cmd} needs a {kind} {'input' if name == 'input' else '--' + name}")
     return f
 
 
@@ -179,7 +180,7 @@ def cmd_analyze(args):
 def cmd_polygon(args):
     from .polygon import build_polygon
 
-    poly = build_polygon(_load_input(args.input), args.prime)
+    poly = build_polygon(_input_of(args, DirichletPoly), args.prime)
     if args.format == "ascii":
         return _ascii_polygon(poly), None
     edges = _edges(poly)
@@ -232,7 +233,7 @@ def cmd_upper_polygon(args):
     from .polygon import HullUndecidable
     from .upperpoly import build_upper_polygon, stepanov_schmidt_test
 
-    f = _multivariate_input(args)
+    f = _input_of(args, MultiDirichletPoly)
     try:
         poly = build_upper_polygon(f, args.outer, args.inner)
     except HullUndecidable as e:
@@ -251,7 +252,7 @@ def cmd_upper_polygon(args):
 def cmd_polytope(args):
     from .polytope import LogPolytope, polytope_irreducibility
 
-    f = _multivariate_input(args)
+    f = _input_of(args, MultiDirichletPoly)
     pt = LogPolytope.of(f)
     rep = polytope_irreducibility(f).gated(args.assume_log_independence)
     return {
@@ -273,7 +274,7 @@ def cmd_rank(args):
         k_power_free_charp,
     )
 
-    f = _load_input(args.input)
+    f = _input_of(args, DirichletPoly)
     if args.matrix in ("A", "B"):
         mat = (build_a_matrix if args.matrix == "A" else build_b_matrix)(f, args.p, args.k)
         rep = k_power_free_charp(f, args.k)
@@ -281,7 +282,7 @@ def cmd_rank(args):
                "entries": [[i, j, int(v)] for i, j, v in mat.to_triplets()]}
     elif args.matrix == "R":
         _require(args, "--g")
-        g = _load_input(args.g)
+        g = _input_of(args, DirichletPoly, "g")
         mat = build_r_matrix(f, g, args.d)
         rep = common_factor_test(f, g, args.d)
         obj = {"rows": mat.rows, "cols": mat.cols,
@@ -298,7 +299,7 @@ def cmd_rank(args):
 def cmd_prime_value(args):
     from .primevalue import prime_value_test, scan_t
 
-    f = _load_input(args.input)
+    f = _input_of(args, DirichletPoly)
     if args.scan_t:
         lo, hi = args.scan_t
         hit = scan_t(f, lo, hi)
@@ -315,8 +316,8 @@ def cmd_prime_value(args):
 def cmd_schonemann(args):
     from .schonemann import prime_power_value_test, pq_schonemann_test, schonemann_test
 
-    F = _load_input(args.F)
-    G = _load_input(args.G)
+    F = _input_of(args, DirichletPoly, "F")
+    G = _input_of(args, DirichletPoly, "G")
     if args.variant in ("classic", "value"):
         rep = schonemann_test(F, G, args.n, args.p, args.q,
                               witness_scan=args.scan if args.variant == "value" else 0)
@@ -333,15 +334,15 @@ def cmd_oracle(args):
 
     if args.action == "factor":
         _require(args, "input")
-        res = brute_force_factor(_load_input(args.input), node_cap=NODE_CAP_CLI)
+        res = brute_force_factor(_input_of(args, DirichletPoly), node_cap=NODE_CAP_CLI)
         obj = {"status": res.status, "bound": res.bound, "nodes": res.nodes}
         if res.factors:
             obj["factors"] = [res.factors[0].text(), res.factors[1].text()]
         return obj, report.INCONCLUSIVE if res.status == NONE_WITHIN_BOUND else None
     if args.action == "gcd":
         _require(args, "input", "--g")
-        f = _load_input(args.input)
-        g = _load_input(args.g)
+        f = _input_of(args, DirichletPoly)
+        g = _input_of(args, DirichletPoly, "g")
         try:
             return {"gcd": gcd_bounded(f, g).text()}, None
         except OracleBudgetExhausted:

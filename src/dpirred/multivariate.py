@@ -76,18 +76,16 @@ class MultiDirichletPoly(SparsePoly):
         k = self.vars.index(var)
         return max((idx[k] for idx in self._terms), default=0)
 
-    def coefficient_polys(self, outer: str):
-        """Split off one indeterminate: map outer-index -> the coefficient,
-        itself a MultiDirichletPoly in the remaining variables."""
-        k = self.vars.index(outer)
-        rest = self.vars[:k] + self.vars[k + 1:]
-        groups: dict[int, dict] = {}
-        for idx, c in self._terms.items():
-            sub = idx[:k] + idx[k + 1:]
-            groups.setdefault(idx[k], {})[sub] = c
-        return {
-            i: MultiDirichletPoly(t, rest, self.ring) for i, t in sorted(groups.items())
-        }
+    def coefficient_degrees(self, outer: str, inner: str) -> dict[int, int]:
+        """Map outer index i -> deg_inner a_i, the largest inner index over
+        the terms with outer index i, sorted by i; no coefficient is built."""
+        k, j = self.vars.index(outer), self.vars.index(inner)
+        if k == j:
+            raise ValueError(f"outer and inner variable are both {outer!r}")
+        degs: dict[int, int] = {}
+        for idx in self._terms:
+            degs[idx[k]] = max(idx[j], degs.get(idx[k], 0))
+        return dict(sorted(degs.items()))
 
     def to_json(self) -> str:
         terms = []

@@ -2,11 +2,11 @@
 are Dirichlet polynomials in other indeterminates.
 
 Points are (log i, log deg_r a_i) with both coordinates logs of positive
-integers, so hull comparisons become sign questions about differences of
-products of logarithms: exact zero detection by cancellation in the
-prime-log basis of certlog.LogProduct, certified interval signs otherwise.
-Hull slopes decrease left to right; zero coefficients are skipped (formally
-at minus infinity).
+integers, deg_r a_i read off the support, so every hull, chord and slope
+comparison is the sign of a 2x2 log determinant of integer ratios, decided
+by the integer kernel certlog.log_det_sign: exact zero by cancellation of
+int coefficients, certified interval signs otherwise.  Hull slopes decrease
+left to right; zero coefficients are skipped (formally at minus infinity).
 """
 
 from __future__ import annotations
@@ -17,10 +17,10 @@ from math import gcd
 
 from .core import gcd_list, log_gcd
 from .certlog import (
-    LogProduct,
     POSITIVE,
     UNDECIDABLE as CMP_UNDECIDABLE,
     ZERO,
+    log_det_sign,
     log_orientation,
 )
 from .multivariate import MultiDirichletPoly
@@ -48,15 +48,7 @@ def build_upper_polygon(f: MultiDirichletPoly, outer: str, inner: str) -> UpperL
     cannot be certified at the precision cap."""
     if f.is_zero():
         raise ValueError("zero polynomial")
-    f = f.algebraically_primitive_part()
-    coeffs = f.coefficient_polys(outer)
-    plotted = []
-    for i, a in coeffs.items():
-        d = a.degree_in(inner)
-        if d >= 1:
-            plotted.append((i, d))
-    if not plotted:
-        raise ValueError("no nonzero coefficients")
+    plotted = list(f.algebraically_primitive_part().coefficient_degrees(outer, inner).items())
     vertices, edges = log_hull(plotted, _drop, segment_lattice_points)
     return UpperLogPolygon(outer, inner, vertices, edges, tuple(plotted))
 
@@ -77,7 +69,8 @@ def upper_vector_system(poly: UpperLogPolygon):
 def _slope_sign(v, w) -> str:
     """Sign of slope(v) - slope(w) for slopes log(yr)/log(xr), xr > 1,
     through the comparator: the sign of ln(yv) ln(xw) - ln(yw) ln(xv)."""
-    return LogProduct().add_product(v[1], w[0]).add_product(w[1], v[0], -1).compare()
+    (xv, yv), (xw, yw) = ((r.as_integer_ratio() for r in u) for u in (v, w))
+    return log_det_sign(yv, xw, yw, xv)
 
 
 def merge_upper_vector_systems(a, b):
@@ -113,10 +106,7 @@ def stepanov_schmidt_test(f: MultiDirichletPoly, outer: str, inner: str) -> Crit
         raise ValueError("needs a nonconstant polynomial")
     if not f.is_algebraically_primitive():
         return inconclusive("upper-polygon", "not algebraically primitive")
-    coeffs = f.coefficient_polys(outer)
-    degs = {i: a.degree_in(inner) for i, a in coeffs.items()}
-    if any(d < 1 for d in degs.values()):
-        return inconclusive("upper-polygon", "a coefficient vanishes in the inner variable")
+    degs = f.coefficient_degrees(outer, inner)
     m, n = min(degs), max(degs)
     dm, dn = degs[m], degs[n]
     if dm == dn:

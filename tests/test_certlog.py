@@ -1,16 +1,22 @@
-"""The integer sign kernel of the certified log comparator against the
-Fraction enclosure it replaced.
+"""The integer kernels of the certified log comparator against the Fraction
+forms they replaced.
 
 `reference_interval` is `LogProduct.interval` as it was before signs were
 decided on integer-scaled enclosures: IV arithmetic on Fraction endpoints.
 `LogProduct.scaled_interval` must give that interval times D * 2^(K*prec),
 so every sign at every precision, and the verdict of `compare` at every cap,
 is the same.
+
+`fraction_det` is the 2x2 log determinant as `add_product` built it before
+`log_det_sign`: Fraction ratios, Fraction coefficients.  `log_orientation`
+and `upperpoly._slope_sign` must give its sign, undecidable included.
 """
 
 import random
 from fractions import Fraction
 from math import lcm
+
+import pytest
 
 from dpirred import certlog
 from dpirred.certlog import (
@@ -22,7 +28,10 @@ from dpirred.certlog import (
     UNDECIDABLE,
     ZERO,
     ln_int_bounds,
+    log_orientation,
 )
+from dpirred.core import exponents
+from dpirred.upperpoly import _slope_sign
 
 PRECS = (64, 128, 256, 1024, 4096)
 CAPS = (4, 8, 64, 100, 4096)
@@ -159,3 +168,94 @@ def test_compare_matches_reference_at_every_cap(monkeypatch):
         capped += full == UNDECIDABLE
     # the near ties reach the escalation steps and the cap
     assert escalated >= 5 and capped >= 1
+
+
+def signed_exponents(q):
+    out = list(exponents(q.numerator).items())
+    out.extend((p, -e) for p, e in exponents(q.denominator).items())
+    return out
+
+
+def fraction_det(a, b, c, d):
+    """ln a ln b - ln c ln d for positive Fractions, expanded as add_product
+    expanded it before the integer kernel."""
+    terms = {}
+    for x, y, coeff in ((a, b, Fraction(1)), (c, d, Fraction(-1))):
+        vy = signed_exponents(y)
+        for p, e in signed_exponents(x):
+            for q, f in vy:
+                m = (p, q) if p <= q else (q, p)
+                terms[m] = terms.get(m, Fraction(0)) + coeff * (e * f)
+    return LogProduct(terms)
+
+
+def log_line_triples(rng, n):
+    """n seeded triples of integer points: a third on one log line, some a
+    unit off one, the rest at random."""
+    def num():
+        return rng.choice((rng.randint(1, 60), rng.randint(1, 2000), 2 ** rng.randint(0, 12)))
+
+    out = []
+    while len(out) < n:
+        kind = rng.random()
+        if kind < 0.45:
+            # (x0 r^t, y0 s^t) lie on one log line; r or s may be 1, t may repeat
+            x0, y0, r, s = (rng.randint(1, 12) for _ in range(4))
+            pts = [(x0 * r**t, y0 * s**t) for t in (rng.randint(0, 4) for _ in range(3))]
+            if kind < 0.05:
+                k = rng.randrange(3)
+                pts[k] = (pts[k][0], pts[k][1] + 1)
+            out.append(tuple(pts))
+        else:
+            out.append(tuple((num(), num()) for _ in range(3)))
+    return out
+
+
+def equal_slope_pairs(rng, n):
+    """n seeded pairs of (x-ratio, y-ratio) vectors, a third of equal slope."""
+    def ratio():
+        return Fraction(rng.randint(1, 40), rng.randint(1, 40))
+
+    out = []
+    while len(out) < n:
+        if rng.random() < 0.35:
+            # (r^a, s^a) and (r^b, s^b): both slopes are log s / log r
+            r, s = ratio(), ratio()
+            a, b = rng.randint(1, 3), rng.randint(1, 3)
+            out.append(((r**a, s**a), (r**b, s**b)))
+        else:
+            out.append(((ratio(), ratio()), (ratio(), ratio())))
+    return out
+
+
+@pytest.mark.parametrize("bits", [None, 4])
+def test_log_det_kernel_matches_fraction_form(monkeypatch, bits):
+    if bits is not None:
+        monkeypatch.setattr(certlog, "PRECISION_START_BITS", bits)
+        monkeypatch.setattr(certlog, "PRECISION_CAP_BITS", bits)
+    enclosures = []
+    scaled_interval = LogProduct.scaled_interval
+    monkeypatch.setattr(LogProduct, "scaled_interval",
+                        lambda self, prec: enclosures.append(prec) or scaled_interval(self, prec))
+    rng = random.Random(211)
+    cases = [(log_orientation, (p1, p2, p3),
+              (Fraction(p2[0], p1[0]), Fraction(p3[1], p1[1]),
+               Fraction(p3[0], p1[0]), Fraction(p2[1], p1[1])))
+             for p1, p2, p3 in log_line_triples(rng, 20000)]
+    cases += [(_slope_sign, (v, w), (v[1], w[0], w[1], v[0]))
+              for v, w in equal_slope_pairs(rng, 20000)]
+    seen = {ZERO: 0, UNDECIDABLE: 0, POSITIVE: 0, NEGATIVE: 0}
+    for kernel, args, ratios in cases:
+        before = len(enclosures)
+        got = kernel(*args)
+        # a tie is decided by cancellation alone, with no enclosure evaluated
+        assert (got == ZERO) == (len(enclosures) == before)
+        want = fraction_det(*ratios)
+        assert got == want.compare(), (kernel.__name__, args)
+        assert (got == ZERO) == (not want)
+        seen[got] += 1
+    assert seen[ZERO] >= 0.2 * len(cases) and seen[POSITIVE] and seen[NEGATIVE]
+    if bits is None:
+        assert seen[UNDECIDABLE] == 0
+    else:
+        assert seen[UNDECIDABLE] >= 100

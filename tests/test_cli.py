@@ -238,8 +238,8 @@ VALID_ARGV = [
      "--p", "2", "--q", "3"],
     ["oracle", "factor", "-1 + 1/4^s"],
 ]
-# a number outside its range (a prime, or an int >= 1), or a univariate
-# input where an s,t one is needed
+# a number outside its range (a prime, or an int >= 1), a univariate input
+# where an s,t one is needed, or an s,t input where a univariate one is
 BAD_ARGUMENT = [
     ["polygon", "1 + 1/2^s", "-p", "0"],
     ["analyze", "1 + 1/2^s", "-p", "0"],
@@ -260,6 +260,18 @@ BAD_ARGUMENT = [
     ["prime-value", "1 + 1/2^s", "--scan-t", "9..1"],
     ["upper-polygon", "1 + 1/2^s", "--outer", "s", "--inner", "t"],
     ["polytope", "1 + 1/2^s"],
+    ["upper-polygon", ST_INPUT, "--outer", "s", "--inner", "s"],
+    ["polygon", ST_INPUT, "-p", "2"],
+    ["rank", ST_INPUT, "--matrix", "A"],
+    ["rank", ST_INPUT, "--matrix", "D"],
+    ["rank", ST_INPUT, "--matrix", "R", "--g", "1 + 1/2^s"],
+    ["rank", "1 + 1/2^s", "--matrix", "R", "--g", ST_INPUT],
+    ["prime-value", ST_INPUT, "--t", "2", "--P", "5"],
+    ["prime-value", ST_INPUT, "--scan-t", "1..4"],
+    ["schonemann", "--variant", "classic", "--F", ST_INPUT, "--G", ST_INPUT, "--p", "2"],
+    ["oracle", "factor", ST_INPUT],
+    ["oracle", "gcd", ST_INPUT, "--g", "1 + 1/2^s"],
+    ["oracle", "gcd", "1 + 1/2^s", "--g", ST_INPUT],
     # a repeated variable name would print (2, 1) and (1, 2) both as 1/(2^s)
     ["analyze", '{"vars":["s","s"],"terms":[{"indices":[2,1],"coeff":1},'
                 '{"indices":[1,2],"coeff":-1}]}'],

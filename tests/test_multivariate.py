@@ -48,10 +48,45 @@ def test_algebraic_primitivity():
 def test_coefficient_split():
     f = MultiDirichletPoly(
         {(1, 1): 1, (8, 1): 1, (8, 2): 1, (16, 32): 1}, ("s", "t"))
-    coeffs = f.coefficient_polys("s")
-    assert sorted(coeffs) == [1, 8, 16]
-    assert coeffs[8].terms == {(1,): 1, (2,): 1}
-    assert coeffs[8].degree_in("t") == 2
+    degs = f.coefficient_degrees("s", "t")
+    # a_8 = 1 + 1/2^t has t-degree 2
+    assert list(degs) == [1, 8, 16]
+    assert degs == {1: 1, 8: 2, 16: 32}
+    assert f.coefficient_degrees("t", "s") == {1: 8, 2: 8, 32: 16}
+    with pytest.raises(ValueError, match="both 's'"):
+        f.coefficient_degrees("s", "s")
+    with pytest.raises(ValueError):
+        f.coefficient_degrees("s", "u")
+
+
+def coefficient_degrees_reference(f, outer, inner):
+    """Split off the outer variable into coefficient polynomials in the
+    others, then take each one's inner degree."""
+    k = f.vars.index(outer)
+    rest = f.vars[:k] + f.vars[k + 1:]
+    groups = {}
+    for idx, c in f.terms.items():
+        groups.setdefault(idx[k], {})[idx[:k] + idx[k + 1:]] = c
+    return {i: MultiDirichletPoly(t, rest, f.ring).degree_in(inner)
+            for i, t in sorted(groups.items())}
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF(5)], ids=str)
+def test_coefficient_degrees_match_grouping(ring):
+    rng = random.Random(23)
+    for variables in (("s", "t"), ("s", "t", "u")):
+        for _ in range(300):
+            terms = {tuple(rng.randint(1, 9) for _ in variables):
+                     Fraction(rng.randint(-6, 6), rng.randint(1, 3)) if ring is QQ
+                     else rng.randint(-6, 6)
+                     for _ in range(rng.randint(1, 8))}
+            f = MultiDirichletPoly(terms, variables, ring)
+            for outer in variables:
+                for inner in variables:
+                    if outer != inner:
+                        want = coefficient_degrees_reference(f, outer, inner)
+                        got = f.coefficient_degrees(outer, inner)
+                        assert list(got.items()) == list(want.items()), (f, outer, inner)
 
 
 def test_json_round_trip():
