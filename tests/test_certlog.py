@@ -12,6 +12,7 @@ is the same.
 and `upperpoly._slope_sign` must give its sign, undecidable included.
 """
 
+import functools
 import random
 from fractions import Fraction
 from math import lcm
@@ -228,6 +229,20 @@ def equal_slope_pairs(rng, n):
     return out
 
 
+@functools.cache
+def kernel_cases():
+    """(kernel, its arguments, the Fraction form) for 20,000 seeded triples
+    and 20,000 seeded vector pairs, built once for both precision settings."""
+    rng = random.Random(211)
+    cases = [(log_orientation, (p1, p2, p3),
+              fraction_det(Fraction(p2[0], p1[0]), Fraction(p3[1], p1[1]),
+                           Fraction(p3[0], p1[0]), Fraction(p2[1], p1[1])))
+             for p1, p2, p3 in log_line_triples(rng, 20000)]
+    cases += [(_slope_sign, (v, w), fraction_det(v[1], w[0], w[1], v[0]))
+              for v, w in equal_slope_pairs(rng, 20000)]
+    return cases
+
+
 @pytest.mark.parametrize("bits", [None, 4])
 def test_log_det_kernel_matches_fraction_form(monkeypatch, bits):
     if bits is not None:
@@ -237,20 +252,13 @@ def test_log_det_kernel_matches_fraction_form(monkeypatch, bits):
     scaled_interval = LogProduct.scaled_interval
     monkeypatch.setattr(LogProduct, "scaled_interval",
                         lambda self, prec: enclosures.append(prec) or scaled_interval(self, prec))
-    rng = random.Random(211)
-    cases = [(log_orientation, (p1, p2, p3),
-              (Fraction(p2[0], p1[0]), Fraction(p3[1], p1[1]),
-               Fraction(p3[0], p1[0]), Fraction(p2[1], p1[1])))
-             for p1, p2, p3 in log_line_triples(rng, 20000)]
-    cases += [(_slope_sign, (v, w), (v[1], w[0], w[1], v[0]))
-              for v, w in equal_slope_pairs(rng, 20000)]
+    cases = kernel_cases()
     seen = {ZERO: 0, UNDECIDABLE: 0, POSITIVE: 0, NEGATIVE: 0}
-    for kernel, args, ratios in cases:
+    for kernel, args, want in cases:
         before = len(enclosures)
         got = kernel(*args)
         # a tie is decided by cancellation alone, with no enclosure evaluated
         assert (got == ZERO) == (len(enclosures) == before)
-        want = fraction_det(*ratios)
         assert got == want.compare(), (kernel.__name__, args)
         assert (got == ZERO) == (not want)
         seen[got] += 1
